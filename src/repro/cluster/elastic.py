@@ -125,7 +125,9 @@ class _Worker:
     def __init__(self, wid: str, channel: Channel):
         self.wid = wid
         self.channel = channel
-        self.digests: set = set()     # task payloads this worker holds
+        # The one task payload this worker holds: installing a payload
+        # evicts the previous one on the worker side.
+        self.digest: "str | None" = None
         self.shards: set = set()      # weight shards its finished tiles read
         self.task: "TileTask | None" = None
         self.task_started = 0.0
@@ -420,11 +422,11 @@ class ElasticEngine(_EngineObsMixin):
                 if task is None:
                     break
                 try:
-                    if digest not in w.digests:
+                    if w.digest != digest:
                         w.channel.send(
                             {"type": "task", "digest": digest,
                              "payload": payload})
-                        w.digests.add(digest)
+                        w.digest = digest
                     w.channel.send({"type": "run", "digest": digest,
                                     "index": task.index, "item": task.item})
                 except (ConnectionError, OSError):

@@ -73,8 +73,8 @@ from repro.parallel.engine import engine_kind
 
 __all__ = ["NetworkUpdater", "UpdateDelta"]
 
-# Below this dirty-pair fraction the replay switches from coarse tiles to
-# per-pair 1x1 tiles (see add_samples); above it, block GEMM efficiency
+# Below this dirty-pair fraction a sparse-kernel replay switches from coarse
+# tiles to per-pair 1x1 tiles (see add_samples); above it, block efficiency
 # outweighs recomputing the clean pairs sharing a dirty tile.
 _REFINE_FRACTION = 0.05
 
@@ -528,15 +528,18 @@ class NetworkUpdater:
                        if dirty[t.i0 : t.i1, t.j0 : t.j1].any()]
         dirty_upper = np.triu(dirty, k=1)
         n_dirty_pairs = int(dirty_upper.sum())
-        # Replay granularity.  The MI matrix is bitwise invariant to the
-        # tile decomposition (each pair's joint GEMM reduces over the same
-        # contiguous sample axis regardless of block shape — pinned by
-        # tests), so when the screen leaves only scattered near-threshold
-        # pairs it is far cheaper to replay them as 1x1 tiles than to drag
-        # whole blocks along; dense dirt keeps the coarse tiles for GEMM
-        # efficiency.  The switch is a pure function of the (deterministic)
-        # screen, so a resumed update rebuilds the identical plan.
-        if 0 < n_dirty_pairs <= _REFINE_FRACTION * pair_count(n):
+        # Replay granularity.  Only the sparse kernel's MI is bitwise
+        # invariant to the tile decomposition (each pair's histogram is
+        # scattered sample by sample whatever the block shape); a BLAS
+        # GEMM's summation order depends on the operand shape, so the
+        # fused and legacy kernels replay the from-scratch run's own tiles.
+        # Under the sparse kernel, scattered near-threshold pairs are far
+        # cheaper to replay as 1x1 tiles than by dragging whole blocks
+        # along; dense dirt keeps the coarse tiles.  The switch is a pure
+        # function of the (deterministic) screen, so a resumed update
+        # rebuilds the identical plan.
+        if (kernel_variant == "sparse"
+                and 0 < n_dirty_pairs <= _REFINE_FRACTION * pair_count(n)):
             ii, jj = np.nonzero(dirty_upper)
             replay = [Tile(int(i), int(i) + 1, int(j), int(j) + 1)
                       for i, j in zip(ii, jj)]

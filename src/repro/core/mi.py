@@ -34,6 +34,8 @@ discussion points to for continuous data.
 from __future__ import annotations
 
 import threading
+import weakref
+from collections import OrderedDict
 
 import numpy as np
 from scipy.special import xlogy
@@ -251,8 +253,51 @@ def mi_tile(
 # reshape yields an F-order no-copy view and hence a TransA call) fall back
 # to the legacy kernel.
 
-_OPERAND_LOCK = threading.Lock()
-_OPERAND_CACHE: list = []  # [(weights, dtype, (row_ops, col_ops))] — at most 2 entries
+class TensorCache:
+    """Arrays derived from a weight tensor, keyed by its identity and dtype.
+
+    The tensor is held weakly, so an entry is dropped as soon as its tensor
+    is collected and a run's hoisted operands never outlive the run.  At
+    most two entries are kept, the oldest evicted first.  Each cache is
+    process-wide: thread workers share its entries, and fork engines
+    inherit them copy-on-write when the parent warms the cache before
+    forking.
+    """
+
+    def __init__(self, build) -> None:
+        self._build = build
+        self._lock = threading.Lock()
+        self._entries: OrderedDict = OrderedDict()  # (id, dtype) -> (ref, value)
+
+    def __len__(self) -> int:
+        return len(self._entries)
+
+    def get(self, weights: np.ndarray, dtype: np.dtype):
+        """The cached ``build(weights, dtype)``, built on first use."""
+        key = (id(weights), dtype)
+        with self._lock:
+            hit = self._entries.get(key)
+            if hit is not None and hit[0]() is weights:
+                return hit[1]
+            value = self._build(weights, dtype)
+            # The drop takes no lock: the collector can run it inside any
+            # allocation, this critical section's included.  An evicted
+            # entry's ref dies with it, so its drop never fires.
+            ref = weakref.ref(weights, lambda _ref: self._entries.pop(key, None))
+            self._entries[key] = (ref, value)
+            while len(self._entries) > 2:
+                self._entries.popitem(last=False)
+            return value
+
+
+def _gemm_operands(weights: np.ndarray, dt: np.dtype) -> "tuple[np.ndarray, np.ndarray]":
+    n, m, b = weights.shape
+    row_ops = np.ascontiguousarray(weights.transpose(0, 2, 1), dtype=dt)
+    col_ops = np.ascontiguousarray(weights.transpose(1, 0, 2), dtype=dt).reshape(m, n * b)
+    return row_ops, col_ops
+
+
+_OPERAND_CACHE = TensorCache(_gemm_operands)
 
 
 def prepare_operands(weights: np.ndarray, dtype=None) -> "tuple[np.ndarray, np.ndarray]":
@@ -263,23 +308,12 @@ def prepare_operands(weights: np.ndarray, dtype=None) -> "tuple[np.ndarray, np.n
     ``(m, n*b)`` matrix whose column slices are the NoTrans column operands.
     Repacking once per process makes every tile's GEMM operands free views
     instead of the per-tile transpose copies :func:`numpy.tensordot` makes.
-    The cache is process-wide (keyed by tensor identity and dtype) so
-    thread workers share one copy, and fork engines inherit it
-    copy-on-write when the parent warms it before forking.
+    The cache (:class:`TensorCache`) is keyed by tensor identity and dtype
+    and drops an entry when its tensor is collected.
     """
     weights = np.asarray(weights)
     dt = np.dtype(dtype) if dtype is not None else weights.dtype
-    with _OPERAND_LOCK:
-        for src, d, ops in _OPERAND_CACHE:
-            if src is weights and d == dt:
-                return ops
-        n, m, b = weights.shape
-        row_ops = np.ascontiguousarray(weights.transpose(0, 2, 1), dtype=dt)
-        col_ops = np.ascontiguousarray(weights.transpose(1, 0, 2), dtype=dt).reshape(m, n * b)
-        ops = (row_ops, col_ops)
-        _OPERAND_CACHE.append((weights, dt, ops))
-        del _OPERAND_CACHE[:-2]
-        return ops
+    return _OPERAND_CACHE.get(weights, dt)
 
 
 class TileWorkspace:

@@ -48,6 +48,8 @@ from pathlib import Path
 
 import numpy as np
 
+from repro.core.mi import TensorCache
+
 __all__ = [
     "PACK_LANES",
     "MAX_COMPILED_ORDER",
@@ -143,27 +145,21 @@ def pack_slab(
     )
 
 
-_PACKED_LOCK = threading.Lock()
-_PACKED_CACHE: list = []  # [(weights, dtype, packed)] — at most 2 entries
+_PACKED_CACHE = TensorCache(pack_slab)
 
 
 def prepare_packed(weights: np.ndarray, dtype=None) -> tuple[np.ndarray, np.ndarray, int]:
     """Process-cached :func:`pack_slab` of a resident weight tensor.
 
-    Mirrors :func:`repro.core.mi.prepare_operands`: keyed by tensor
-    identity and dtype, at most two entries, warmed by the executor before
-    forking so child workers inherit the packed copy copy-on-write.
+    Shares :func:`repro.core.mi.prepare_operands`'s cache policy
+    (:class:`repro.core.mi.TensorCache`): keyed by tensor identity and
+    dtype, at most two entries, each dropped when its tensor is collected,
+    and warmed by the executor before forking so child workers inherit the
+    packed copy copy-on-write.
     """
     weights = np.asarray(weights)
     dt = np.dtype(dtype) if dtype is not None else weights.dtype
-    with _PACKED_LOCK:
-        for src, d, packed in _PACKED_CACHE:
-            if src is weights and d == dt:
-                return packed
-        packed = pack_slab(weights, dt)
-        _PACKED_CACHE.append((weights, dt, packed))
-        del _PACKED_CACHE[:-2]
-        return packed
+    return _PACKED_CACHE.get(weights, dt)
 
 
 # ---------------------------------------------------------------------------

@@ -171,6 +171,68 @@ class TestWeightTensor:
             weight_tensor(rng.normal(size=10))
 
 
+def _direct_weight_tensor(data, bins, order, dtype):
+    """Oracle: the weights phase with Cox–de Boor run on every point."""
+    data = np.asarray(data, dtype=np.float64)
+    n, m = data.shape
+    lo = data.min(axis=1, keepdims=True)
+    hi = data.max(axis=1, keepdims=True)
+    span = hi - lo
+    scaled = np.where(span > 0, (data - lo) / np.where(span > 0, span, 1.0), 0.0)
+    scaled *= float(bins - order + 1)
+    return basis_matrix(scaled.ravel(), bins, order).reshape(n, m, bins).astype(dtype)
+
+
+def _adversarial_genes(n, m, seed):
+    """Gaussian genes plus ties at the min, max and interior, a constant
+    gene and a binary gene."""
+    rng = np.random.default_rng(seed)
+    data = rng.normal(size=(n, m))
+    data[0] = 2.5
+    data[1] = rng.integers(0, 2, size=m)
+    data[2, : m // 4] = data[2].min()
+    data[3, : m // 4] = data[3].max()
+    data[4, m // 3 : m // 2] = np.median(data[4])
+    data[5] = np.round(data[5])
+    return data
+
+
+class TestWeightTensorGather:
+    """The gather over distinct points is bitwise the direct evaluation."""
+
+    @pytest.mark.parametrize("transform", ["rank", "zscore", "none"])
+    @pytest.mark.parametrize("dtype", [np.float64, np.float32])
+    @pytest.mark.parametrize("shape", [(24, 101), (7, 13), (9, 3137)])
+    def test_bitwise_equal_to_direct(self, transform, dtype, shape):
+        from repro.core.discretize import preprocess
+
+        data = preprocess(_adversarial_genes(*shape, seed=shape[1]), transform)
+        got = weight_tensor(data, bins=10, order=3, dtype=dtype)
+        want = _direct_weight_tensor(data, 10, 3, dtype)
+        assert got.dtype == want.dtype and got.flags.c_contiguous
+        assert got.tobytes() == want.tobytes()
+
+    @pytest.mark.parametrize("bins,order", [(10, 1), (6, 2), (30, 4)])
+    def test_other_bases(self, bins, order):
+        from repro.core.discretize import rank_transform
+
+        data = rank_transform(_adversarial_genes(16, 64, seed=bins))
+        got = weight_tensor(data, bins=bins, order=order)
+        assert got.tobytes() == _direct_weight_tensor(data, bins, order, np.float64).tobytes()
+
+    def test_route_follows_shared_points(self, rng):
+        from repro.core.bspline import _rows_share_points
+        from repro.core.discretize import rank_transform, zscore
+
+        data = rng.normal(size=(32, 200))
+        assert _rows_share_points(rank_transform(data))
+        assert not _rows_share_points(zscore(data))
+        assert _rows_share_points(np.zeros((0, 5)))
+
+    def test_empty_gene_axis(self):
+        assert weight_tensor(np.zeros((0, 5))).shape == (0, 5, 10)
+
+
 class TestPackedWeights:
     def test_roundtrip(self, rng):
         w = weight_matrix(rng.normal(size=60), bins=10, order=3)
@@ -244,84 +306,3 @@ class TestPackedWeights:
         values, first = packed_weights(w, 3)
         assert values.shape == (0, 3)
         assert np.array_equal(unpack_weights(values, first, 10), w)
-
-
-class TestPackedWeightTensor:
-    def test_matches_weight_tensor_plus_pack(self, rng):
-        from repro.core.bspline import packed_weight_tensor
-
-        data = rng.normal(size=(8, 50))
-        values, first = packed_weight_tensor(data, bins=10, order=3)
-        assert values.shape == (8, 50, 3) and first.dtype == np.int32
-        w = weight_tensor(data, bins=10, order=3)
-        ref_v, ref_f = packed_weights(w.reshape(-1, 10), 3)
-        assert np.array_equal(values.reshape(-1, 3), ref_v)
-        assert np.array_equal(first.reshape(-1), ref_f)
-
-    def test_constant_gene(self):
-        from repro.core.bspline import packed_weight_tensor
-
-        data = np.full((2, 20), 3.25)
-        values, first = packed_weight_tensor(data, bins=10, order=3)
-        # A constant gene maps to domain 0: all mass in the first window.
-        assert (first == 0).all()
-        assert np.allclose(values.sum(axis=2), 1.0)  # partition of unity
-
-    def test_float32_output(self, rng):
-        from repro.core.bspline import packed_weight_tensor
-
-        values, first = packed_weight_tensor(rng.normal(size=(3, 30)),
-                                             bins=10, order=3,
-                                             dtype=np.float32)
-        assert values.dtype == np.float32
-
-    def test_forced_numba_without_numba_raises(self, rng, monkeypatch):
-        from repro.core import bspline as bs
-
-        try:
-            import numba  # noqa: F401
-            pytest.skip("Numba installed; the forced tier is available")
-        except ImportError:
-            pass
-        monkeypatch.setenv("REPRO_BSPLINE_JIT", "numba")
-        bs._reset_bspline_jit_cache()
-        try:
-            with pytest.raises(RuntimeError, match="Numba"):
-                bs.packed_weight_tensor(rng.normal(size=(2, 10)))
-        finally:
-            bs._reset_bspline_jit_cache()
-
-    def test_numpy_tier_forced(self, rng, monkeypatch):
-        from repro.core import bspline as bs
-
-        monkeypatch.setenv("REPRO_BSPLINE_JIT", "numpy")
-        bs._reset_bspline_jit_cache()
-        try:
-            data = rng.normal(size=(4, 40))
-            values, first = bs.packed_weight_tensor(data)
-            w = weight_tensor(data, bins=10, order=3)
-            ref_v, ref_f = packed_weights(w.reshape(-1, 10), 3)
-            assert np.array_equal(values.reshape(-1, 3), ref_v)
-            assert np.array_equal(first.reshape(-1), ref_f)
-        finally:
-            bs._reset_bspline_jit_cache()
-
-    def test_jit_tier_matches_numpy_tier_bitwise(self, rng, monkeypatch):
-        from repro.core import bspline as bs
-
-        try:
-            import numba  # noqa: F401
-        except ImportError:
-            pytest.skip("Numba not installed; single-tier environment")
-        data = rng.normal(size=(6, 60))
-        monkeypatch.setenv("REPRO_BSPLINE_JIT", "numba")
-        bs._reset_bspline_jit_cache()
-        jit_v, jit_f = bs.packed_weight_tensor(data)
-        monkeypatch.setenv("REPRO_BSPLINE_JIT", "numpy")
-        bs._reset_bspline_jit_cache()
-        try:
-            np_v, np_f = bs.packed_weight_tensor(data)
-            assert np.array_equal(jit_v, np_v)
-            assert np.array_equal(jit_f, np_f)
-        finally:
-            bs._reset_bspline_jit_cache()

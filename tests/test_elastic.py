@@ -200,6 +200,22 @@ class TestElasticEngine:
         assert len(sent) >= 2  # both workers were fed
         assert all(counters[k] > 0 for k in sent)
 
+    def test_engine_reused_for_identical_reconstructs(self, thread_engine):
+        # A reconstruct maps the null and then the MI tiles; the second run
+        # re-sends the null's payload, which the workers evicted when the
+        # MI payload arrived.
+        from repro.core.pipeline import TingeConfig, TingePipeline
+
+        ds = yeast_subset(n_genes=24, m_samples=40, seed=2)
+        cfg = TingeConfig(n_permutations=4, kernel="sparse", seed=1)
+        ref = TingePipeline(cfg).run(ds.expression, ds.genes)
+        for _ in range(2):
+            res = TingePipeline(cfg, engine=thread_engine).run(ds.expression,
+                                                               ds.genes)
+            assert np.array_equal(res.mi, ref.mi)
+            assert res.network.threshold == ref.network.threshold
+            assert np.array_equal(res.network.adjacency, ref.network.adjacency)
+
     def test_n_workers_tracks_membership(self, thread_engine):
         assert thread_engine.n_workers == 2
 

@@ -337,3 +337,23 @@ class TestExtendColumnsAndDrift:
         before = rank_transform(data)
         after = rank_transform(np.concatenate([data, new], axis=1))[:, :50]
         assert np.abs(after - before).max() <= rank_drift_bound(50, 53) + 1e-12
+
+
+class TestReplayGranularity:
+    """Scattered dirty pairs replay as 1x1 tiles only under the sparse
+    kernel: the BLAS kernels' MI depends on the tile shape in the last bit,
+    so they must replay the from-scratch run's own tiles."""
+
+    @pytest.mark.parametrize("kernel", ["fused", "legacy", "sparse"])
+    def test_sparse_dirt_bit_identical_at_large_m(self, kernel):
+        data, new, full = _dataset(n=64, m=400, dm=1, seed=7)
+        cfg = TingeConfig(n_permutations=10, n_null_pairs=80, alpha=0.01,
+                          seed=3, tile=16, kernel=kernel)
+        res_old = reconstruct_network(data, config=cfg)
+        res_full = reconstruct_network(full, config=cfg)
+        u = NetworkUpdater.from_result(res_old, data)
+        delta = u.add_samples(new)
+        assert 0 < delta.pairs_screened_dirty <= 0.05 * delta.pairs_total
+        refined = delta.pairs_recomputed == delta.pairs_screened_dirty
+        assert refined == (kernel == "sparse")
+        _assert_network_identical(u, res_full)

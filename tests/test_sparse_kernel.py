@@ -112,6 +112,26 @@ class TestPackSlab:
         b = prepare_packed(weights)
         assert a[0] is b[0] and a[1] is b[1]
 
+    def test_operand_caches_drop_collected_tensors(self):
+        import gc
+        import weakref
+
+        from repro.core.mi import _OPERAND_CACHE, prepare_operands
+        from repro.core.sparsekernel import _PACKED_CACHE
+
+        rng = np.random.default_rng(5)
+        tensors = [weight_tensor(rng.normal(size=(6, 40))) for _ in range(2)]
+        derived = []
+        for w in tensors:
+            derived += [weakref.ref(prepare_operands(w)[0]),
+                        weakref.ref(prepare_operands(w, np.float32)[1]),
+                        weakref.ref(prepare_packed(w)[0])]
+        assert len(_OPERAND_CACHE) == 2 and len(_PACKED_CACHE) == 2
+        del w, tensors
+        gc.collect()
+        assert len(_OPERAND_CACHE) == 0 and len(_PACKED_CACHE) == 0
+        assert all(ref() is None for ref in derived)
+
     def test_joint_pad(self):
         assert joint_pad(10) == 10 + PACK_LANES - 1
 
@@ -516,36 +536,3 @@ class TestAutotuneSidecarV2:
         assert kernel in ("legacy", "fused", "sparse") and tile in (4, 8)
         again = autotune_kernel(weights, candidates=(4, 8), repeats=1)
         assert again == (kernel, tile)
-
-
-# ---------------------------------------------------------------------------
-# Compiled weight phase (packed_weight_tensor)
-# ---------------------------------------------------------------------------
-
-class TestPackedWeightTensor:
-    def test_matches_dense_pack_bitwise(self):
-        from repro.core.bspline import packed_weight_tensor, packed_weights
-
-        rng = np.random.default_rng(11)
-        data = rng.normal(size=(10, 80))
-        values, first = packed_weight_tensor(data, bins=10, order=3)
-        w = weight_tensor(data, bins=10, order=3)
-        ref_v, ref_f = packed_weights(w.reshape(-1, 10), 3)
-        assert np.array_equal(values.reshape(-1, 3), ref_v)
-        assert np.array_equal(first.reshape(-1), ref_f)
-
-    def test_feeds_sparse_mi_bitwise(self):
-        from repro.core.bspline import packed_weight_tensor
-
-        rng = np.random.default_rng(12)
-        data = rng.normal(size=(12, 90))
-        w = weight_tensor(data, bins=10, order=3)
-        h = marginal_entropies(w)
-        ref = mi_tile_sparse(w[:6], w[6:12], h_i=h[:6], h_j=h[6:12])
-        values, first = packed_weight_tensor(data, bins=10, order=3)
-        lanes = np.zeros((12, 90, PACK_LANES), dtype=np.float64)
-        lanes[:, :, :3] = values
-        got = mi_tile_sparse_packed(lanes[:6], first[:6].astype(np.int32),
-                                    lanes[6:12], first[6:12].astype(np.int32),
-                                    3, 10, 90, h_i=h[:6], h_j=h[6:12])
-        assert np.array_equal(got, ref)
