@@ -1,9 +1,11 @@
 """E29 — Fault-tolerance overhead and recovery cost.
 
-The resilient dispatch layer (`policy=FaultPolicy(...)` through
-:func:`repro.core.exec.run_tile_plan`) must be invisible when nothing
-faults: acceptance is bit-identical output and <= 5% wall-clock overhead
-over the legacy zero-overhead path on the same serial engine.  The second
+Every run goes through one tolerant dispatch in
+:func:`repro.core.exec.run_tile_plan`; a retry budget must be invisible
+when nothing faults.  Acceptance is bit-identical output and <= 5%
+wall-clock overhead for `FaultPolicy(max_retries=2)` over the default
+policy (no retries, raise on a failed tile) on the same serial engine.
+The second
 measurement prices recovery itself — wall-clock with a 10% crash-rate
 fault plan on a thread engine, versus the same engine clean — so the
 retry machinery's cost at the paper's scale is a measured number, not a
@@ -45,14 +47,28 @@ def best_of(fn, repeats=REPEATS):
     return result, best
 
 
+def interleaved_best_of(fn_a, fn_b, repeats=REPEATS):
+    """``best_of`` for two paths in ABBA order, so host drift and
+    run-order effects hit both alike."""
+    best, results = [float("inf")] * 2, [None, None]
+    fns = (fn_a, fn_b)
+    for r in range(repeats):
+        for k in ((0, 1) if r % 2 == 0 else (1, 0)):
+            fn = fns[k]
+            t0 = time.perf_counter()
+            results[k] = fn()
+            best[k] = min(best[k], time.perf_counter() - t0)
+    return results, best
+
+
 def test_no_fault_overhead(benchmark, report, weights):
     policy = FaultPolicy(max_retries=2, backoff=0.01)
-    mi_legacy, t_legacy = best_of(lambda: mi_matrix(weights, tile=TILE).mi)
-    mi_resilient, t_resilient = best_of(
+    (mi_default, mi_retry), (t_default, t_retry) = interleaved_best_of(
+        lambda: mi_matrix(weights, tile=TILE).mi,
         lambda: mi_matrix(weights, tile=TILE, policy=policy).mi)
     benchmark(lambda: mi_matrix(weights, tile=TILE, policy=policy))
 
-    overhead = t_resilient / t_legacy - 1.0
+    overhead = t_retry / t_default - 1.0
 
     # Recovery cost: a 10% crash-rate plan on a thread engine, against the
     # same engine clean.  Each faulted tile costs one wasted attempt plus
@@ -74,10 +90,10 @@ def test_no_fault_overhead(benchmark, report, weights):
     n_faulted = len(FaultPlan(seed=29, rate=CRASH_RATE, kinds=("crash",))
                     .faulted(tile_grid(N_GENES, TILE)))
     rows = [
-        {"path": "legacy dispatch (policy=None)",
-         "mi time": f"{t_legacy * 1e3:.1f} ms", "overhead": "0 (reference)"},
-        {"path": "resilient dispatch, no faults",
-         "mi time": f"{t_resilient * 1e3:.1f} ms",
+        {"path": "default policy (no retries, raise)",
+         "mi time": f"{t_default * 1e3:.1f} ms", "overhead": "0 (reference)"},
+        {"path": "max_retries=2, no faults",
+         "mi time": f"{t_retry * 1e3:.1f} ms",
          "overhead": f"{overhead * 100:+.1f}%"},
         {"path": "thread x4, clean",
          "mi time": f"{t_clean * 1e3:.1f} ms", "overhead": "0 (reference)"},
@@ -94,6 +110,6 @@ def test_no_fault_overhead(benchmark, report, weights):
                           "crash_rate": CRASH_RATE,
                           "faulted_tiles": n_faulted})
 
-    assert np.array_equal(mi_legacy, mi_resilient)
-    assert np.array_equal(mi_legacy, mi_chaos)  # recovery is bit-exact too
+    assert np.array_equal(mi_default, mi_retry)
+    assert np.array_equal(mi_default, mi_chaos)  # recovery is bit-exact too
     assert overhead <= 0.05

@@ -1,11 +1,13 @@
 """E26 — result transport: pickle-return vs write-in-place engines.
 
 The paper's whole-genome runs work because all 240 Phi threads write
-disjoint blocks of the MI matrix in place.  `ProcessEngine` instead ships
-every tile block back to the parent through a pipe (pickle, copy, and a
-parent-side reassembly loop); `SharedMemoryEngine.map_into` has workers
-attach the output matrix via `SharedArray.handle()` and write their blocks
-directly, so only task indices cross the pipe.  This bench measures both
+disjoint blocks of the MI matrix in place.  `ProcessEngine.map_supervised`
+instead ships every tile block back to the parent through a pipe (pickle,
+copy, and a parent-side reassembly loop);
+`SharedMemoryEngine.map_into_supervised` has workers attach a `SharedArray`
+output via its `handle()` and write their blocks directly, so only task
+indices cross the pipe.  These are the two fork-engine paths the tile
+executor dispatches through.  This bench measures both
 backends on (a) a transport-dominated synthetic workload and (b) the real
 tiled MI matrix, and reports the result bytes each backend moves through
 the pipe — zero for the shared-memory backend, by construction.
@@ -19,6 +21,7 @@ import pytest
 from repro.bench.reporting import format_seconds
 from repro.core.mi_matrix import mi_matrix
 from repro.parallel.engine import ProcessEngine, SharedMemoryEngine
+from repro.parallel.sharedmem import SharedArray
 
 N_BLOCKS = 24
 EDGE = 256  # one synthetic result block: 256x256 float64 = 512 KiB
@@ -60,19 +63,25 @@ def test_transport_synthetic(report):
         out_proc = np.zeros((N_BLOCKS * EDGE, EDGE))
 
         def via_pickle():
-            blocks = proc.map(_return_block, list(range(N_BLOCKS)))
+            blocks, failures = proc.map_supervised(_return_block, list(range(N_BLOCKS)))
+            assert not failures
             for k, blk in enumerate(blocks):  # the reassembly loop
                 out_proc[k * EDGE : (k + 1) * EDGE, :] = blk
 
-        out_shm = np.zeros((N_BLOCKS * EDGE, EDGE))
+        out_shm = SharedArray.create((N_BLOCKS * EDGE, EDGE), "float64")
 
         def in_place():
-            shm.map_into(_write_block, list(range(N_BLOCKS)), out_shm)
+            assert not shm.map_into_supervised(
+                _write_block, list(range(N_BLOCKS)), out_shm)
 
-        t_proc = _timed(via_pickle)
-        t_shm = _timed(in_place)
-        assert np.array_equal(out_proc, expected)
-        assert np.array_equal(out_shm, expected)
+        try:
+            t_proc = _timed(via_pickle)
+            t_shm = _timed(in_place)
+            assert np.array_equal(out_proc, expected)
+            assert np.array_equal(out_shm.array, expected)
+        finally:
+            out_shm.close()
+            out_shm.unlink()
         rows.append({
             "workers": n_workers,
             "pickle-return": format_seconds(t_proc),
@@ -115,7 +124,12 @@ def test_mi_matrix_end_to_end(report, bench_weights):
 def test_transport_cost_is_eliminated(benchmark):
     """The headline number: one write-in-place pass, measured."""
     shm = SharedMemoryEngine(n_workers=2)
-    out = np.zeros((N_BLOCKS * EDGE, EDGE))
-    benchmark(lambda: shm.map_into(_write_block, list(range(N_BLOCKS)), out))
-    assert np.array_equal(
-        out, np.concatenate([_block(k) for k in range(N_BLOCKS)], axis=0))
+    out = SharedArray.create((N_BLOCKS * EDGE, EDGE), "float64")
+    try:
+        benchmark(lambda: shm.map_into_supervised(
+            _write_block, list(range(N_BLOCKS)), out))
+        assert np.array_equal(
+            out.array, np.concatenate([_block(k) for k in range(N_BLOCKS)], axis=0))
+    finally:
+        out.close()
+        out.unlink()

@@ -292,9 +292,8 @@ def mi_matrix_checkpointed(
         *new* rows, simulating preemption mid-run.
     engine:
         Optional execution engine (:mod:`repro.parallel.engine`) running
-        each block-row's tiles; engines with ``map_into`` write tile blocks
-        directly into the row buffer, others return blocks through ``map``.
-        Checkpoint granularity (and the on-disk format) is unchanged.
+        each block-row's tiles.  Checkpoint granularity (and the on-disk
+        format) is the same for every engine.
     progress:
         Optional ``progress(done_rows, total_rows)`` callback, fired after
         each block-row's checkpoint lands (resumed rows count as done, so
@@ -308,10 +307,12 @@ def mi_matrix_checkpointed(
         ordering applies within each block-row, checkpoint granularity is
         unchanged.
     policy:
-        Optional :class:`repro.faults.policy.FaultPolicy`.  Failed tile
-        tasks are retried; tasks that exhaust the budget are quarantined
-        *into the ledger* (key ``"quarantined"``) so a resumed run knows
-        which blocks are poison instead of aborting the whole pass.
+        Optional :class:`repro.faults.policy.FaultPolicy` (``None``: no
+        retries, abort on a failed tile).  Failed tile tasks are retried;
+        outside ``on_fault="raise"``, tasks that exhaust the budget are
+        quarantined *into the ledger* (key ``"quarantined"``) so a resumed
+        run knows which blocks are poison instead of aborting the whole
+        pass.
 
     Returns
     -------

@@ -44,7 +44,6 @@ from repro.core.permutation import pooled_null
 from repro.core.pipeline import TingeConfig
 from repro.core.threshold import threshold_adjacency
 from repro.core.tiling import pair_count
-from repro.faults.policy import FaultPolicy
 
 __all__ = ["AutoRunResult", "auto_reconstruct"]
 
@@ -144,10 +143,9 @@ def auto_reconstruct(
         ``checkpoint_threshold`` genes.
     engine:
         Optional execution engine (:mod:`repro.parallel.engine`) for the
-        all-pairs MI stage of whichever strategy is chosen.  Engines with
-        ``map_into`` (serial, thread, shared-memory) write tile blocks
-        into the output in place; others fall back to pickle-return
-        ``map``.
+        all-pairs MI stage of whichever strategy is chosen.  In-process
+        and shared-memory engines write tile blocks into the output in
+        place; other fork and remote engines return them by pickling.
     tracer:
         Optional :class:`repro.obs.tracer.Tracer` forwarded to whichever
         MI driver the strategy selects (and, via the engine, to the worker
@@ -160,14 +158,13 @@ def auto_reconstruct(
     policy:
         Optional :class:`repro.faults.policy.FaultPolicy` for the MI
         stage; defaults to the policy implied by the config's
-        ``max_retries`` / ``task_timeout`` / ``on_fault`` fields (``None``
-        — legacy dispatch — when those are all defaults).  Quarantined
-        tiles are reported on the result instead of aborting the run.
+        ``max_retries`` / ``task_timeout`` / ``on_fault`` fields.  Outside
+        ``on_fault="raise"``, quarantined tiles are reported on the result
+        instead of aborting the run.
     """
     config = config or TingeConfig()
     if policy is None:
-        policy = FaultPolicy.from_options(config.max_retries, config.task_timeout,
-                                          config.on_fault)
+        policy = config.fault_policy()
     if config.testing != "pooled":
         raise ValueError("auto_reconstruct supports pooled testing only")
     if config.correction not in _SUPPORTED_CORRECTIONS:

@@ -19,8 +19,8 @@ module factors that loop into three small protocols plus one executor:
   (with per-tile costs for the cost-model policies), not just the
   simulator's replay.
 
-:func:`run_tile_plan` then owns tile iteration, engine dispatch
-(``map``/``map_into``, with fork-engine batching and shared-memory
+:func:`run_tile_plan` then owns tile iteration, tolerant engine dispatch
+(validation, retries, quarantine, fork-engine batching and shared-memory
 staging), progress reporting and span/counter emission — identically for
 every driver, so a new backend is one new protocol implementation, not a
 fourth fork of the loop.
@@ -63,6 +63,7 @@ from repro.faults.policy import FaultPolicy, FaultToleranceExceeded, Quarantined
 from repro.obs.tracer import NULL_TRACER
 from repro.parallel.engine import (
     EngineFailure,
+    SerialEngine,
     SharedMemoryEngine,
     WorkerLocal,
     fallback_engine,
@@ -577,9 +578,9 @@ class MatrixSink:
 
     * ``"matrix"`` — tiles are independent; the executor dispatches the
       whole (policy-ordered) grid at once, batching fork engines and
-      staging shared memory exactly as the in-memory driver always did.
-      The sink exposes an optional :meth:`buffer` for in-place
-      ``map_into`` writes and receives every block through :meth:`put`.
+      staging shared memory.  A sink with a :meth:`buffer` has blocks
+      written straight into it; any other receives every block through
+      :meth:`put`.
     * ``"rows"`` — tiles are processed one block-row at a time (the
       checkpoint and out-of-core layouts); the executor hands each
       completed row to :meth:`store_row`, then :meth:`commit_row` decides
@@ -617,8 +618,8 @@ class MatrixSink:
 
     # -- matrix grain ------------------------------------------------------
     def buffer(self) -> "np.ndarray | None":
-        """Array for direct ``map_into`` writes, or ``None`` to force
-        block-wise :meth:`put`."""
+        """``(n, n)`` array blocks are written into in place, or ``None``
+        to force block-wise :meth:`put`."""
         return None
 
     def put(self, idx: int, t: Tile, block: np.ndarray) -> None:
@@ -786,22 +787,28 @@ def run_tile_plan(
     kernel's GEMM precision (``"float32"`` = mixed precision) and is also
     used to warm the process-wide hoisted-operand cache before dispatch,
     so fork workers inherit the repacked tensor copy-on-write instead of
-    each rebuilding it; custom kernels receive it via their own closures.  ``progress(done, total)`` and the tracer's
-    ``tiles_done``/``pairs_done`` (and, for row sinks, ``rows_done``)
-    counters tick at each driver's historical granularity: per tile for
-    serial and in-process engines, per batch/row for fork engines.
+    each rebuilding it; custom kernels receive it via their own closures.
+    ``progress(done, total)`` and the tracer's ``tiles_done``/``pairs_done``
+    (and, for row sinks, ``rows_done``) counters tick per tile for serial
+    and in-process engines, per batch (or row) for fork and remote engines.
 
-    ``policy`` (a :class:`repro.faults.policy.FaultPolicy`) switches on
-    the resilient dispatch layer: failed tasks are retried with backoff,
-    hung fork-engine tasks are timed out and their workers replaced, an
-    engine that loses its pool is swapped for the next one down the
-    fallback chain, and tasks that exhaust the budget are quarantined on
-    the sink (or raise, per ``policy.on_fault``).  ``policy=None`` —
-    the default — runs the original dispatch paths untouched.
+    Every run goes through one tolerant dispatch governed by ``policy``
+    (a :class:`repro.faults.policy.FaultPolicy`): each block is validated,
+    failed tasks are retried with backoff, hung fork-engine tasks are
+    timed out and their workers replaced, and tasks that exhaust the
+    budget are quarantined on the sink (or raise, per ``policy.on_fault``).
+    Outside ``on_fault="raise"`` an engine that loses its pool is swapped
+    for the next one down the fallback chain.  ``policy=None`` means
+    :meth:`FaultPolicy.from_options` defaults: no retries, no timeout, and
+    ``"raise"`` — the first failed tile aborts the run with
+    :class:`~repro.faults.policy.FaultToleranceExceeded` naming its error,
+    and an :class:`~repro.parallel.engine.EngineFailure` propagates.
 
     Returns ``sink.finalize(completed)`` — the sink-specific result.
     """
     tracer = tracer or NULL_TRACER
+    policy = policy if policy is not None else FaultPolicy.from_options()
+    engine = engine if engine is not None else SerialEngine()
     h = source.entropies(plan.base)
     base = plan.base
 
@@ -832,17 +839,10 @@ def run_tile_plan(
 
     try:
         if sink.grain == "rows":
-            if policy is None:
-                completed = _run_rows(plan, sink, run, engine, tracer, progress)
-            else:
-                completed = _run_rows_resilient(
-                    plan, sink, run, engine, tracer, progress, policy)
+            completed = _run_rows(plan, sink, run, engine, tracer, progress,
+                                  policy)
         else:
-            if policy is None:
-                _run_matrix(plan, sink, run, engine, tracer, progress)
-            else:
-                _run_matrix_resilient(
-                    plan, sink, run, engine, tracer, progress, policy)
+            _run_matrix(plan, sink, run, engine, tracer, progress, policy)
             completed = True
         return sink.finalize(completed=completed)
     finally:
@@ -857,219 +857,100 @@ def _engine_workers(engine) -> int:
     return max(int(getattr(engine, "n_workers", 1) or 1), 1)
 
 
-def _run_matrix(plan, sink, run, engine, tracer, progress) -> None:
-    """Whole-grid dispatch (dense and distributed sinks)."""
-    tiles = plan.tiles
-    total = len(tiles)
-    order = plan.order(_engine_workers(engine))
-    counter_lock = threading.Lock()
-    done_count = [0]
+class _Counter:
+    """Completed work: tracer counters first, then the progress line."""
 
-    def tick(n_tiles: int, n_pairs: int) -> None:
-        """Record completed work: counters first, then the progress line."""
-        with counter_lock:
-            done_count[0] += n_tiles
-            done = done_count[0]
-        tracer.add("tiles_done", n_tiles)
-        tracer.add("pairs_done", n_pairs)
-        if progress is not None:
-            progress(done, total)
+    def __init__(self, tracer, progress, total: int, done: int = 0):
+        self.tracer = tracer
+        self.progress = progress
+        self.total = total
+        self.done = done
+        self._lock = threading.Lock()
 
-    buf = sink.buffer()
-
-    def run_into(out: np.ndarray, t: Tile) -> None:
-        out[t.i0 : t.i1, t.j0 : t.j1] = run(t)
-
-    with _span(tracer, sink.span_name, **sink.span_meta(plan)):
-        if engine is None:
-            for idx in order:
-                t = tiles[idx]
-                sink.put(idx, t, run(t))
-                tick(1, t.n_pairs)
-        elif getattr(engine, "in_process", False):
-            # Workers share this address space, so per-tile completion can
-            # be reported live from inside the mapped function itself.
-            if buf is not None and hasattr(engine, "map_into"):
-                def run_into_ticked(out: np.ndarray, t: Tile) -> None:
-                    run_into(out, t)
-                    tick(1, t.n_pairs)
-
-                engine.map_into(run_into_ticked, [tiles[i] for i in order], buf)
-            else:
-                def run_ticked(t: Tile) -> np.ndarray:
-                    block = run(t)
-                    tick(1, t.n_pairs)
-                    return block
-
-                blocks = engine.map(run_ticked, [tiles[i] for i in order])
-                for idx, block in zip(order, blocks):
-                    sink.put(idx, tiles[idx], block)
-        else:
-            # Fork-based engines: tile completion happens in child
-            # processes, invisible to a parent-side callback.  When someone
-            # is watching, split the grid into batches (a few tiles per
-            # worker keeps the pools saturated) and report per batch; when
-            # nobody is, keep the single dispatch.
-            observing = progress is not None or tracer is not NULL_TRACER
-            chunk = max(1, 4 * _engine_workers(engine)) if observing else total
-            use_into = buf is not None and hasattr(engine, "map_into")
-            out: object = buf
-            staged = None
-            if use_into and chunk < total:
-                # Shared-memory engines stage a plain-ndarray sink per
-                # map_into call; stage once here so batching costs one
-                # memcpy total, not one per batch.
-                from repro.parallel.engine import SharedMemoryEngine
-                from repro.parallel.sharedmem import SharedArray
-
-                if isinstance(engine, SharedMemoryEngine):
-                    staged = SharedArray.from_array(buf)
-                    out = staged
-            try:
-                for s in range(0, total, chunk):
-                    batch_idx = order[s : s + chunk]
-                    batch = [tiles[i] for i in batch_idx]
-                    if use_into:
-                        engine.map_into(run_into, batch, out)
-                    else:
-                        blocks = engine.map(run, batch)
-                        for idx, block in zip(batch_idx, blocks):
-                            sink.put(idx, tiles[idx], block)
-                    tick(len(batch), sum(t.n_pairs for t in batch))
-                if staged is not None:
-                    buf[...] = staged.array
-            finally:
-                if staged is not None:
-                    staged.close()
-                    staged.unlink()
+    def tick(self, n_tiles: int, n_pairs: int, units: "int | None" = None) -> None:
+        """Count finished tiles; ``units`` (default: the tiles) advance
+        the progress line."""
+        with self._lock:
+            self.done += n_tiles if units is None else units
+            done = self.done
+        self.tracer.add("tiles_done", n_tiles)
+        self.tracer.add("pairs_done", n_pairs)
+        if self.progress is not None:
+            self.progress(done, self.total)
 
 
-def _run_rows(plan, sink, run, engine, tracer, progress) -> bool:
-    """Block-row dispatch (checkpoint and out-of-core sinks).
-
-    Returns False when the sink stopped the run early (checkpoint
-    interruption), True on completion.
-    """
-    rows = plan.rows
-    row_progress = sink.progress_units == "rows"
-    total = len(rows) if row_progress else len(plan.tiles)
-    pending = [i0 for i0 in rows if not sink.skip_row(i0)]
-    done = len(rows) - len(pending) if row_progress else 0
-    if progress is not None and done:
-        progress(done, total)  # resumed rows are already complete
-
-    with _span(tracer, sink.span_name, **sink.span_meta(plan)):
-        return _run_pending_rows(
-            plan, sink, run, engine, tracer, progress, pending, row_progress,
-            done, total,
-        )
+class CorruptBlock(ValueError):
+    """A tile block rejected by the fault policy's validation."""
 
 
-def _run_pending_rows(
-    plan, sink, run, engine, tracer, progress, pending, row_progress, done, total
-) -> bool:
-    for i0 in pending:
-        row_tiles = plan.row_tiles(i0)
-        with _span(tracer, sink.row_span_name, i0=i0, n_tiles=len(row_tiles)):
-            if engine is None:
-                items = []
-                for t in row_tiles:
-                    items.append((t, run(t)))
-                    if not row_progress:
-                        done += 1
-                        tracer.add("tiles_done")
-                        tracer.add("pairs_done", t.n_pairs)
-                        if progress is not None:
-                            progress(done, total)
-                sink.store_row(i0, items)
-            elif hasattr(engine, "map_into"):
-                # Workers fill one (rows, n) buffer in place; the row is
-                # then sliced out of it, keeping storage formats identical.
-                buf = np.zeros((row_tiles[0].i1 - i0, plan.n_genes), dtype=np.float64)
+def _dispatch_once(engine, tiles, idxs, run, shm_out, policy, tracer,
+                   deliver, done):
+    """One tolerant dispatch round over ``idxs``; ``{idx: error}`` of the failed.
 
-                def run_into(out, t):
-                    out[:, t.j0 : t.j1] = run(t)
-
-                engine.map_into(run_into, row_tiles, buf)
-                sink.store_row(i0, [(t, buf[:, t.j0 : t.j1]) for t in row_tiles])
-            else:
-                blocks = engine.map(run, row_tiles)
-                sink.store_row(i0, list(zip(row_tiles, blocks)))
-        keep_going = sink.commit_row(i0)
-        if row_progress:
-            done += 1
-            tracer.add("rows_done")
-            tracer.add("tiles_done", len(row_tiles))
-            tracer.add("pairs_done", sum(t.n_pairs for t in row_tiles))
-            if progress is not None:
-                progress(done, total)
-        elif engine is not None:
-            done += len(row_tiles)
-            tracer.add("tiles_done", len(row_tiles))
-            tracer.add("pairs_done", sum(t.n_pairs for t in row_tiles))
-            if progress is not None:
-                progress(done, total)
-        if not keep_going:
-            return False
-    return True
-
-
-# ---------------------------------------------------------------------------
-# Resilient dispatch (active only under a FaultPolicy)
-# ---------------------------------------------------------------------------
-# The legacy paths above are the hot paths: bit-identical to PR 3 and
-# wrapper-free.  Everything below runs only when run_tile_plan receives a
-# FaultPolicy, trading a little dispatch overhead for survival: tolerant
-# per-task dispatch, validation, retries with backoff, per-task timeouts
-# (fork engines), quarantine, and the sharedmem → process → thread →
-# serial engine fallback chain.
-
-
-def _dispatch_once(engine, tiles, idxs, run, run_into, shm_out, timeout):
-    """One tolerant dispatch round over ``idxs``.
-
-    Returns ``(blocks, failures, inplace)``: per-index result blocks
-    (views into shared memory when ``inplace``), per-index error strings,
-    and whether successful blocks were already written in place.
+    Each block that passes ``policy.check`` goes to ``deliver(idx, tile,
+    block)`` (``block`` is ``None`` when the worker already wrote it into
+    the shared ``shm_out``) and is counted by ``done(n_tiles, n_pairs)``.
+    In-process engines do both inside the worker, right after the tile's
+    kernel, so no block outlives its task and progress is live.  Fork and
+    remote engines return blocks to the parent, which delivers them and
+    reports the round's tiles at once.
     """
     items = [tiles[i] for i in idxs]
-    if engine is None:
-        blocks, failures = {}, {}
-        for i, t in zip(idxs, items):
-            try:
-                blocks[i] = run(t)
-            except Exception as exc:
-                failures[i] = f"{type(exc).__name__}: {exc}"
-        return blocks, failures, False
-    if (shm_out is not None and isinstance(engine, SharedMemoryEngine)
-            and not engine._inline()):
-        pos_failures = engine.map_into_supervised(
-            run_into, items, shm_out, timeout=timeout)
-        failures = {idxs[p]: err for p, err in pos_failures.items()}
-        blocks = {
-            i: shm_out.array[tiles[i].i0:tiles[i].i1, tiles[i].j0:tiles[i].j1]
-            for i in idxs if i not in failures
-        }
-        return blocks, failures, True
+
+    def accept(idx: int, t: Tile, block, inplace: bool = False) -> None:
+        if not policy.check(t, block):
+            tracer.add("task_corruptions")
+            raise CorruptBlock("corrupt result (validation failed)")
+        deliver(idx, t, None if inplace else block)
+
     if getattr(engine, "in_process", False):
-        results, pos_failures = engine.map_tolerant(run, items)
+        def on_result(p: int, block) -> None:
+            t = items[p]
+            accept(idxs[p], t, block)
+            done(1, t.n_pairs)
+
+        _, failures = engine.map_tolerant(run, items, on_result=on_result)
+        return {idxs[p]: err for p, err in failures.items()}
+
+    inplace = (shm_out is not None and isinstance(engine, SharedMemoryEngine)
+               and not engine._inline())
+    if inplace:
+        def run_into(out: np.ndarray, t: Tile) -> None:
+            out[t.i0:t.i1, t.j0:t.j1] = run(t)
+
+        failures = engine.map_into_supervised(
+            run_into, items, shm_out, timeout=policy.task_timeout)
+        results = [None if p in failures
+                   else shm_out.array[t.i0:t.i1, t.j0:t.j1]
+                   for p, t in enumerate(items)]
     else:
-        results, pos_failures = engine.map_supervised(run, items, timeout=timeout)
-    failures = {idxs[p]: err for p, err in pos_failures.items()}
-    blocks = {idxs[p]: results[p]
-              for p in range(len(idxs)) if idxs[p] not in failures}
-    return blocks, failures, False
+        results, failures = engine.map_supervised(
+            run, items, timeout=policy.task_timeout)
+    ok = []
+    for p, t in enumerate(items):
+        if p in failures:
+            continue
+        try:
+            accept(idxs[p], t, results[p], inplace)
+        except CorruptBlock as exc:
+            failures[p] = f"{type(exc).__name__}: {exc}"
+        else:
+            ok.append(t)
+        results[p] = None
+    if ok:
+        done(len(ok), sum(t.n_pairs for t in ok))
+    return {idxs[p]: err for p, err in failures.items()}
 
 
-def _execute_resilient(engine, tiles, idxs, run, run_into, shm_out, policy,
-                       tracer, deliver):
+def _execute(engine, tiles, idxs, run, shm_out, policy, tracer, deliver,
+             done):
     """Retry/timeout/fallback loop over one batch of tile indices.
 
-    ``deliver(idx, tile, block)`` fires once per eventual success (block
-    is ``None`` when the worker already wrote it in place).  Returns
-    ``(failures, engine)``: the tasks whose budget ran out, each with its
-    last error string, and the (possibly degraded) engine now in use —
-    callers thread it through so a fallback persists for later batches.
+    Returns ``(failures, engine)``: the tasks whose budget ran out, each
+    with its last error string, and the (possibly degraded) engine now in
+    use — callers thread it through so a fallback persists for later
+    batches.  Under ``on_fault="raise"`` an :class:`EngineFailure`
+    propagates instead of falling back.
     """
     pending = list(idxs)
     errors: dict = {}
@@ -1085,10 +966,10 @@ def _execute_resilient(engine, tiles, idxs, run, run_into, shm_out, policy,
                 time.sleep(delay)
             tracer.add("task_retries", len(pending))
         try:
-            blocks, failures, inplace = _dispatch_once(
-                eng, tiles, pending, run, run_into, shm_out, policy.task_timeout)
+            failures = _dispatch_once(eng, tiles, pending, run, shm_out,
+                                      policy, tracer, deliver, done)
         except EngineFailure as exc:
-            nxt = fallback_engine(eng) if eng is not None else None
+            nxt = None if policy.on_fault == "raise" else fallback_engine(eng)
             if nxt is None:
                 raise
             with tracer.span("engine_fault", engine=type(eng).__name__,
@@ -1097,22 +978,10 @@ def _execute_resilient(engine, tiles, idxs, run, run_into, shm_out, policy,
                 pass
             tracer.add("engine_fallbacks")
             eng = nxt
-            if shm_out is not None and not isinstance(eng, SharedMemoryEngine):
-                shm_out = None  # degraded off the write-in-place path
             continue  # a fallback does not consume a retry
         attempt += 1
-        still = dict(failures)
-        for idx in pending:
-            if idx in still:
-                continue
-            t = tiles[idx]
-            if not policy.check(t, blocks[idx]):
-                still[idx] = "corrupt result (validation failed)"
-                tracer.add("task_corruptions")
-                continue
-            deliver(idx, t, None if inplace else blocks[idx])
         faults = getattr(eng, "faults", None)
-        for idx, err in still.items():
+        for idx, err in failures.items():
             if err.startswith("task timed out"):
                 tracer.add("task_timeouts")
             if faults is not None:
@@ -1120,12 +989,12 @@ def _execute_resilient(engine, tiles, idxs, run, run_into, shm_out, policy,
                 # round, so children inherit the updated counts and a
                 # task that burned its failure budget retries clean.
                 faults.record_failure(tiles[idx])
-        pending = [idx for idx in pending if idx in still]
-        errors = still
+        pending = [idx for idx in pending if idx in failures]
+        errors = failures
     return {idx: errors[idx] for idx in pending}, eng
 
 
-def _quarantine_failures(sink, tiles, failures, policy, tracer, tick=None):
+def _quarantine_failures(sink, tiles, failures, policy, tracer, counter=None):
     """Record budget-exhausted tasks on the sink (or abort, per policy)."""
     if not failures:
         return
@@ -1137,89 +1006,93 @@ def _quarantine_failures(sink, tiles, failures, policy, tracer, tick=None):
             pass
         tracer.add("tasks_quarantined")
         sink.quarantine(idx, t, error)
-        if tick is not None:
-            tick(1, 0)
+        if counter is not None:
+            counter.tick(1, 0)
     if policy.on_fault == "raise":
         raise FaultToleranceExceeded(sink.quarantined)
 
 
-def _run_matrix_resilient(plan, sink, run, engine, tracer, progress, policy) -> None:
-    """Whole-grid dispatch with retry/timeout/quarantine/fallback.
+def _run_matrix(plan, sink, run, engine, tracer, progress, policy) -> None:
+    """Whole-grid dispatch (dense and distributed sinks).
 
-    Differences from :func:`_run_matrix`: dispatch is always per-task
-    tolerant (no opaque whole-grid map), a shared-memory engine writes
-    into a staging copy so retries and engine fallback can overwrite
-    partial garbage before the single copy-back, and blocks that end up
-    quarantined are reset to the sink's zero fill.
+    In-process engines take the whole grid in one map, each worker
+    checking, writing and ticking its own tile.  Fork and remote engines
+    report completion only when a map returns, so while a progress
+    callback or tracer is watching the grid goes out in batches of four
+    tiles per worker.  A shared-memory engine writes every batch into one
+    staged shared copy of the sink buffer, copied back once at the end.
+    Blocks that end up quarantined are reset to the sink's zero fill.
     """
     tiles = plan.tiles
-    total = len(tiles)
     order = plan.order(_engine_workers(engine))
-    counter_lock = threading.Lock()
-    done_count = [0]
-
-    def tick(n_tiles: int, n_pairs: int) -> None:
-        with counter_lock:
-            done_count[0] += n_tiles
-            done = done_count[0]
-        tracer.add("tiles_done", n_tiles)
-        tracer.add("pairs_done", n_pairs)
-        if progress is not None:
-            progress(done, total)
-
+    counter = _Counter(tracer, progress, len(tiles))
     buf = sink.buffer()
-
-    def run_into(out: np.ndarray, t: Tile) -> None:
-        out[t.i0:t.i1, t.j0:t.j1] = run(t)
-
-    use_shm = (buf is not None and isinstance(engine, SharedMemoryEngine)
-               and not engine._inline())
-    staged = SharedArray.from_array(buf) if use_shm else None
-    target = staged.array if staged is not None else None
+    staged = None
+    if (buf is not None and isinstance(engine, SharedMemoryEngine)
+            and not engine._inline()):
+        staged = SharedArray.from_array(buf)
+    target = staged.array if staged is not None else buf
+    put_lock = threading.Lock()
 
     def deliver(idx: int, t: Tile, block) -> None:
-        if block is not None:
-            if target is not None:
-                target[t.i0:t.i1, t.j0:t.j1] = block
-            else:
+        if block is None:
+            return
+        if target is not None:
+            target[t.i0:t.i1, t.j0:t.j1] = block
+        else:
+            with put_lock:
                 sink.put(idx, t, block)
-        tick(1, t.n_pairs)
 
+    observing = progress is not None or tracer is not NULL_TRACER
+    chunk = len(order)
+    if observing and not getattr(engine, "in_process", False):
+        chunk = 4 * _engine_workers(engine)
+    eng = engine
     with _span(tracer, sink.span_name, **sink.span_meta(plan)):
         try:
-            failures, _ = _execute_resilient(
-                engine, tiles, order, run, run_into, staged, policy, tracer,
-                deliver)
+            for s in range(0, len(order), max(chunk, 1)):
+                failures, eng = _execute(
+                    eng, tiles, order[s:s + chunk], run, staged, policy,
+                    tracer, deliver, counter.tick)
+                if target is not None:
+                    for idx in failures:
+                        t = tiles[idx]
+                        target[t.i0:t.i1, t.j0:t.j1] = 0.0
+                _quarantine_failures(sink, tiles, failures, policy, tracer,
+                                     counter)
             if staged is not None:
                 buf[...] = staged.array
         finally:
             if staged is not None:
                 staged.close()
                 staged.unlink()
-        if failures and buf is not None:
-            for idx in failures:  # quarantined blocks keep the zero fill
-                t = tiles[idx]
-                buf[t.i0:t.i1, t.j0:t.j1] = 0.0
-        _quarantine_failures(sink, tiles, failures, policy, tracer, tick)
 
 
-def _run_rows_resilient(plan, sink, run, engine, tracer, progress, policy) -> bool:
-    """Block-row dispatch with retry/timeout/quarantine/fallback.
+def _run_rows(plan, sink, run, engine, tracer, progress, policy) -> bool:
+    """Block-row dispatch (checkpoint and out-of-core sinks).
 
-    Blocks always return to the parent (pickle for fork engines) so one
-    code path serves every engine; ``store_row`` receives only the tiles
-    that succeeded, leaving quarantined blocks at the sink's fill value.
-    Quarantine is recorded *before* ``commit_row`` so ledger-backed sinks
-    persist it atomically with the row.
+    ``store_row`` receives only the tiles that succeeded, leaving
+    quarantined blocks at the sink's fill value.  Quarantine is recorded
+    *before* ``commit_row`` so ledger-backed sinks persist it atomically
+    with the row.  Returns False when the sink stopped the run early
+    (checkpoint interruption), True on completion.
     """
     rows = plan.rows
-    row_progress = sink.progress_units == "rows"
-    total = len(rows) if row_progress else len(plan.tiles)
-    pending = [i0 for i0 in rows if not sink.skip_row(i0)]
-    done = len(rows) - len(pending) if row_progress else 0
-    if progress is not None and done:
-        progress(done, total)  # resumed rows are already complete
     tiles = plan.tiles
+    row_progress = sink.progress_units == "rows"
+    pending = [i0 for i0 in rows if not sink.skip_row(i0)]
+    if row_progress:
+        counter = _Counter(tracer, progress, len(rows),
+                           done=len(rows) - len(pending))
+        if progress is not None and counter.done:
+            progress(counter.done, counter.total)  # resumed rows are complete
+    else:
+        counter = _Counter(tracer, progress, len(tiles))
+
+    def done(n_tiles: int, n_pairs: int) -> None:
+        if not row_progress:  # row units tick once the row is committed
+            counter.tick(n_tiles, n_pairs)
+
     row_idx: dict = {}
     for idx, t in enumerate(tiles):
         row_idx.setdefault(t.i0, []).append(idx)
@@ -1234,21 +1107,16 @@ def _run_rows_resilient(plan, sink, run, engine, tracer, progress, policy) -> bo
                 _c[idx] = (t, block)
 
             with _span(tracer, sink.row_span_name, i0=i0, n_tiles=len(idxs)):
-                failures, eng = _execute_resilient(
-                    eng, tiles, idxs, run, None, None, policy, tracer, deliver)
+                failures, eng = _execute(eng, tiles, idxs, run, None, policy,
+                                         tracer, deliver, done)
                 sink.store_row(i0, [collected[i] for i in idxs if i in collected])
-                _quarantine_failures(sink, tiles, failures, policy, tracer)
+                _quarantine_failures(sink, tiles, failures, policy, tracer,
+                                     None if row_progress else counter)
             keep_going = sink.commit_row(i0)
-            row_tiles = [tiles[i] for i in idxs]
             if row_progress:
-                done += 1
                 tracer.add("rows_done")
-            else:
-                done += len(row_tiles)
-            tracer.add("tiles_done", len(row_tiles))
-            tracer.add("pairs_done", sum(t.n_pairs for t in row_tiles))
-            if progress is not None:
-                progress(done, total)
+                counter.tick(len(idxs), sum(tiles[i].n_pairs for i in idxs),
+                             units=1)
             if not keep_going:
                 return False
     return True

@@ -10,7 +10,7 @@ This driver is a thin configuration of the unified execution core
 (:mod:`repro.core.exec`): an in-memory :class:`~repro.core.exec.TensorSource`
 feeding a dense :class:`~repro.core.exec.DenseSink` through
 :func:`~repro.core.exec.run_tile_plan`, which owns engine dispatch
-(``map``/``map_into``), scheduling, progress and tracing.  This is exactly
+(tolerant ``map`` variants), scheduling, progress and tracing.  This is exactly
 the decomposition the paper distributes over the Phi's 240 hardware
 threads, which write disjoint blocks of the MI matrix in place.
 """
@@ -159,9 +159,9 @@ def mi_matrix(
         Entropy log base (``"nat"`` or ``"bit"``).
     engine:
         Optional execution engine; defaults to serial in-process execution.
-        Engines exposing ``map_into(fn, items, out)`` (the sink protocol)
+        In-process engines (serial, thread) and the shared-memory engine
         have their workers write tile blocks straight into the output
-        matrix; plain ``map(fn, items)`` engines return blocks for a
+        matrix; other fork and remote engines return blocks for a
         parent-side assembly loop.
     progress:
         Optional callback ``progress(done_tiles, total_tiles)``.  The
@@ -186,9 +186,10 @@ def mi_matrix(
         :class:`repro.parallel.scheduler.SchedulerPolicy`; default is
         grid order (equivalent to dynamic chunk-1 pull).
     policy:
-        Optional :class:`repro.faults.policy.FaultPolicy` enabling the
-        resilient dispatch layer (retries, timeouts, quarantine, engine
-        fallback); ``None`` keeps the zero-overhead legacy paths.
+        Optional :class:`repro.faults.policy.FaultPolicy` for the tile
+        dispatch (retries, timeouts, quarantine, engine fallback);
+        ``None`` means no retries, no timeout, and a failed tile aborts
+        the run with :class:`repro.faults.policy.FaultToleranceExceeded`.
     kernel_dtype:
         GEMM precision of the fused tile kernel: ``None`` (default) keeps
         the weight tensor's own precision and stays bit-identical to

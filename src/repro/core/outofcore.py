@@ -175,7 +175,8 @@ def mi_matrix_outofcore(
     """Compute the full MI matrix with both operands on disk.
 
     ``progress`` (optional ``progress(done_tiles, total_tiles)``) fires per
-    tile on the serial path and per block-row with an engine; ``tracer``
+    tile on the serial path and in-process engines, and per block-row with
+    a fork or remote engine; ``tracer``
     (optional :class:`repro.obs.tracer.Tracer`) wraps the run in an
     ``mi_outofcore`` span and ticks the ``tiles_done`` / ``pairs_done``
     counters at the same granularity.
@@ -188,17 +189,17 @@ def mi_matrix_outofcore(
     is one block-row of weights plus one block-row of output at a time.
 
     ``engine`` (optional, :mod:`repro.parallel.engine`) parallelizes the
-    tiles of each block-row: engines with ``map_into`` have workers write
-    tile blocks into a shared row buffer in place (forked workers read the
-    weight store through the inherited mapping), plain ``map`` engines
-    return blocks by pickling.  The parent alone writes the output memmap,
-    preserving the streaming memory profile.
+    tiles of each block-row: in-process workers hand their blocks over
+    directly, fork workers (which read the weight store through the
+    inherited mapping) return them by pickling.  The parent alone writes
+    the output memmap, preserving the streaming memory profile.
 
     ``schedule`` orders tiles within each block-row (see
     :data:`repro.core.exec.SCHEDULE_NAMES`); storage layout is unchanged.
 
-    ``policy`` (optional :class:`repro.faults.policy.FaultPolicy`) turns
-    on resilient dispatch; tiles that exhaust the retry budget stay zero
+    ``policy`` (optional :class:`repro.faults.policy.FaultPolicy`; ``None``
+    aborts on a failed tile) sets retries and quarantine; outside
+    ``on_fault="raise"``, tiles that exhaust the retry budget stay zero
     in the output matrix and are enumerated in a ``<out>.quarantine.json``
     sidecar next to the matrix file.
 

@@ -95,8 +95,10 @@ class TingeConfig:
         workers are killed and replaced), and what to do when the budget
         is exhausted (``"retry"``/``"quarantine"`` record the tile and
         keep going, ``"raise"`` aborts).  The defaults (0 / ``None`` /
-        ``"raise"``) disable the resilient layer entirely, keeping the MI
-        phase on the legacy zero-overhead dispatch paths.
+        ``"raise"``) abort on the first failed tile with
+        :class:`repro.faults.policy.FaultToleranceExceeded`, which names
+        the tile's error; only the non-``raise`` modes fall back to the
+        next engine when one loses its pool.
     kernel_dtype:
         GEMM precision of the fused MI tile kernel: ``None`` (default)
         keeps the weight tensor's own precision and is bit-identical to
@@ -183,9 +185,9 @@ class TingeConfig:
                 f"on_fault must be one of {ON_FAULT_MODES}, got {self.on_fault!r}"
             )
 
-    def fault_policy(self):
-        """The :class:`repro.faults.policy.FaultPolicy` these fields imply,
-        or ``None`` when they are all defaults (legacy dispatch)."""
+    def fault_policy(self) -> FaultPolicy:
+        """The :class:`repro.faults.policy.FaultPolicy` these fields imply
+        (all defaults: no retries, no timeout, raise on a failed tile)."""
         return FaultPolicy.from_options(self.max_retries, self.task_timeout,
                                         self.on_fault)
 

@@ -16,10 +16,13 @@ in :mod:`repro.core.exec` consumes:
   ``"raise"``, in which case :class:`FaultToleranceExceeded` aborts the
   run after enumerating the poison tiles.
 
-``FaultPolicy.from_options`` maps the config/CLI triple
-(``max_retries``, ``task_timeout``, ``on_fault``) to a policy, returning
-``None`` for the all-default triple so the legacy zero-overhead dispatch
-path keeps running byte-for-byte unchanged.
+Every tile run goes through that one dispatch layer.
+``FaultPolicy.from_options`` maps the config/CLI triple (``max_retries``,
+``task_timeout``, ``on_fault``) to a policy; its all-default triple —
+no retries, no timeout, ``"raise"`` — is what a run gets when nobody
+asks for tolerance: the first failed tile aborts it with
+:class:`FaultToleranceExceeded`, whose message carries the tile's
+original error.
 """
 
 from __future__ import annotations
@@ -41,11 +44,15 @@ ON_FAULT_MODES = ("retry", "quarantine", "raise")
 
 
 class FaultToleranceExceeded(RuntimeError):
-    """A task exhausted its retry budget under ``on_fault="raise"``."""
+    """A task exhausted its retry budget under ``on_fault="raise"``.
+
+    The message names every quarantined tile with its last error, e.g.
+    ``(0,16): InjectedFault: ...``, so the original cause stays visible.
+    """
 
     def __init__(self, quarantined):
         self.quarantined = list(quarantined)
-        tiles = ", ".join(f"({q.i0},{q.j0})" for q in self.quarantined)
+        tiles = "; ".join(f"({q.i0},{q.j0}): {q.error}" for q in self.quarantined)
         super().__init__(
             f"{len(self.quarantined)} tile task(s) exhausted the retry budget: {tiles}"
         )
@@ -123,17 +130,11 @@ class FaultPolicy:
 
     @classmethod
     def from_options(cls, max_retries: int = 0, task_timeout: float | None = None,
-                     on_fault: str = "raise") -> "FaultPolicy | None":
-        """Config/CLI triple → policy; ``None`` for the legacy defaults.
+                     on_fault: str = "raise") -> "FaultPolicy":
+        """Config/CLI triple → policy.
 
-        The all-default triple means "no tolerance requested": drivers
-        then take the original dispatch path, which is guaranteed
-        bit-identical to PR 3 and carries zero wrapper overhead.
+        The all-default triple means "no tolerance requested": no
+        retries, no timeout, and the first failed tile aborts the run.
         """
-        if on_fault not in ON_FAULT_MODES:
-            raise ValueError(
-                f"on_fault must be one of {ON_FAULT_MODES}, got {on_fault!r}")
-        if max_retries == 0 and task_timeout is None and on_fault == "raise":
-            return None
         return cls(max_retries=max_retries, task_timeout=task_timeout,
                    on_fault=on_fault)

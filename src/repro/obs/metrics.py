@@ -3,7 +3,7 @@
 The parallel engines (:mod:`repro.parallel.engine`) time every task they
 run and aggregate the timings per worker — thread, forked process, or the
 calling thread itself — into a :class:`MapStats` attached to the engine
-after each ``map``/``map_into`` call and, when the engine carries a tracer,
+after each engine map call and, when the engine carries a tracer,
 reported as span metadata.  These are the signals behind the paper's
 load-balance analysis: per-worker task counts and busy fractions show
 whether the dynamic tile schedule kept all hardware threads fed.
@@ -33,7 +33,7 @@ class WorkerStats:
 
 @dataclass
 class MapStats:
-    """Aggregate of one engine ``map``/``map_into`` call.
+    """Aggregate of one engine map call.
 
     ``workers`` holds one entry per worker that executed at least one task,
     named ``w0..wk`` in a stable order (threads by first use, processes by

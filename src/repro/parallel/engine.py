@@ -15,26 +15,28 @@ engine-agnostic; picking an engine picks the host-level parallelism:
   plays with the weight matrices resident on the coprocessor).  Results
   still cross the pipe by pickling.
 * :class:`SharedMemoryEngine` — the write-in-place pool.  In addition to
-  ``map`` it implements the sink protocol ``map_into(fn, items, out)``:
-  workers attach ``out`` through named shared memory and write their
-  disjoint output blocks directly into it, so *nothing* but task indices
-  crosses the pipe — the process analog of the paper's 240 Phi threads
-  writing disjoint blocks of the MI matrix in coprocessor memory.
+  ``map`` it implements ``map_into_supervised(fn, items, out)``: workers
+  attach ``out`` through named shared memory and write their disjoint
+  output blocks directly into it, so *nothing* but task indices crosses
+  the pipe — the process analog of the paper's 240 Phi threads writing
+  disjoint blocks of the MI matrix in coprocessor memory.
 
 Engines execute tasks in the order given by a
 :class:`repro.parallel.scheduler.SchedulerPolicy`; results are always
 returned in the original item order regardless of execution order.
 
-The sink protocol
+Tolerant dispatch
 -----------------
-``map_into(fn, items, out)`` calls ``fn(out_view, item)`` exactly once per
-item, where ``out_view`` is a numpy array aliasing ``out``'s storage (in a
-worker process: a shared-memory view of it).  ``fn`` must write each item's
-result into a region of ``out_view`` disjoint from every other item's, and
-its return value is ignored.  Drivers probe for the protocol with
-``hasattr(engine, "map_into")`` and fall back to ``map`` plus a parent-side
-assembly loop for engines without it (:class:`ProcessEngine`, third-party
-engines).
+The tile executor (:func:`repro.core.exec.run_tile_plan`) never lets one
+failing task abort a map.  In-process engines offer
+``map_tolerant(fn, items, on_result)``, whose ``on_result(pos, value)``
+runs inside the worker right after the task, so a tile block can be
+checked and written to its sink before the next task starts; fork
+engines offer ``map_supervised(fn, items, timeout)`` (per-task timeouts,
+blocks returned by pickling) and the shared-memory engine
+``map_into_supervised(fn, items, out)``, which calls ``fn(out_view,
+item)`` once per item on a :class:`SharedArray` the workers write in
+place.  Each returns the failed positions with their error strings.
 """
 
 from __future__ import annotations
@@ -132,14 +134,6 @@ class EngineFailure(RuntimeError):
     chain (``sharedmem → process → thread → serial``)."""
 
 
-def _as_output_array(out) -> np.ndarray:
-    """Normalize a ``map_into`` sink to the ndarray workers should fill."""
-    arr = out.array if isinstance(out, SharedArray) else out
-    if not isinstance(arr, np.ndarray):
-        raise TypeError(f"map_into sink must be a numpy array or SharedArray, got {type(out)!r}")
-    return arr
-
-
 def _result_nbytes(value) -> int:
     """Bytes a pickle-returned result ships through the pipe (arrays only).
 
@@ -157,7 +151,7 @@ def _result_nbytes(value) -> int:
 class _EngineObsMixin:
     """Shared observability plumbing for all engines.
 
-    Every ``map``/``map_into`` call times each task and aggregates the
+    Every map call times each task and aggregates the
     timings per worker into a :class:`repro.obs.metrics.MapStats`, stored
     on ``last_map_stats`` and — when a tracer is attached (constructor
     argument or ``engine.tracer = ...``) — recorded as an ``engine_map``
@@ -199,18 +193,25 @@ def _format_error(exc: BaseException) -> str:
     return f"{type(exc).__name__}: {exc}"
 
 
-def _tolerant_loop(fn: Callable, items: Sequence, arr: np.ndarray | None = None):
+def _tolerant_loop(fn: Callable, items: Sequence, arr: np.ndarray | None = None,
+                   on_result: Callable | None = None):
     """In-process fallback dispatch: run every task, collect failures.
 
     Returns ``(results, failures)`` where ``failures`` maps item position
     to an error string.  With ``arr`` set, tasks are ``fn(arr, item)``
-    (the write-in-place shape) and results are all ``None``.
+    (the write-in-place shape) and results are all ``None``.  With
+    ``on_result`` set, each value goes to ``on_result(pos, value)``
+    instead of ``results``; an exception there fails the task.
     """
     results: list = [None] * len(items)
     failures: dict[int, str] = {}
     for i, item in enumerate(items):
         try:
-            results[i] = fn(item) if arr is None else fn(arr, item)
+            value = fn(item) if arr is None else fn(arr, item)
+            if on_result is not None:
+                on_result(i, value)
+            else:
+                results[i] = value
         except Exception as exc:
             failures[i] = _format_error(exc)
     return results, failures
@@ -226,20 +227,25 @@ class SerialEngine(_EngineObsMixin):
         self.tracer = tracer
         self.faults = faults
 
-    def map_tolerant(self, fn: Callable, items: Sequence):
+    def map_tolerant(self, fn: Callable, items: Sequence,
+                     on_result: Callable | None = None):
         """``map`` that survives task failures: ``(results, failures)``.
 
         ``failures`` maps item position to an error string; failed
-        positions hold ``None`` in ``results``.  The serial engine is the
-        end of the fallback chain, so it never raises
-        :class:`EngineFailure` (injected engine faults are ignored here).
+        positions hold ``None`` in ``results``.  ``on_result(pos, value)``,
+        when given, receives each value as its task finishes (and
+        ``results`` stays all ``None``); an exception it raises fails
+        that task.  The serial engine is the end of the fallback chain,
+        so it never raises :class:`EngineFailure` (injected engine faults
+        are ignored here).
         """
         items = list(items)
         if not items:
             return [], {}
         with self._obs_tracer().span("engine_map", engine="SerialEngine") as sp:
             t0 = time.perf_counter()
-            results, failures = _tolerant_loop(self._faulty(fn), items)
+            results, failures = _tolerant_loop(self._faulty(fn), items,
+                                               on_result=on_result)
             wall = time.perf_counter() - t0
             self._record_map(sp, "map", len(items), wall,
                              [WorkerStats("w0", len(items), wall)])
@@ -262,22 +268,6 @@ class SerialEngine(_EngineObsMixin):
             self._record_map(sp, "map", len(items), wall,
                              [WorkerStats("w0", len(items), busy)] if items else [])
         return results
-
-    def map_into(self, fn: Callable, items: Sequence, out) -> None:
-        """Run ``fn(out, item)`` for every item (in-process, same array)."""
-        fn = self._faulty_into(fn)
-        arr = _as_output_array(out)
-        items = list(items)
-        with self._obs_tracer().span("engine_map", engine="SerialEngine") as sp:
-            t0 = time.perf_counter()
-            busy = 0.0
-            for item in items:
-                s = time.perf_counter()
-                fn(arr, item)
-                busy += time.perf_counter() - s
-            wall = time.perf_counter() - t0
-            self._record_map(sp, "map_into", len(items), wall,
-                             [WorkerStats("w0", len(items), busy)] if items else [])
 
     def __repr__(self) -> str:  # pragma: no cover - cosmetic
         return "SerialEngine()"
@@ -357,14 +347,17 @@ class ThreadEngine(_EngineObsMixin):
             self._record_map(sp, "map", len(items), time.perf_counter() - t0, workers)
         return results
 
-    def map_tolerant(self, fn: Callable, items: Sequence):
+    def map_tolerant(self, fn: Callable, items: Sequence,
+                     on_result: Callable | None = None):
         """``map`` that survives task failures: ``(results, failures)``.
 
         Failed positions hold ``None`` in ``results`` and an error string
-        in ``failures``.  Per-task timeouts are *not* supported here —
-        Python threads cannot be killed — so a hung task simply occupies
-        its thread until it returns (use a fork engine for hang
-        protection).
+        in ``failures``.  ``on_result(pos, value)``, when given, runs on
+        the worker thread as each task finishes (and ``results`` stays
+        all ``None``); an exception it raises fails that task.  Per-task
+        timeouts are *not* supported here — Python threads cannot be
+        killed — so a hung task simply occupies its thread until it
+        returns (use a fork engine for hang protection).
         """
         self._engine_fault_check()
         fn = self._faulty(fn)
@@ -378,6 +371,9 @@ class ThreadEngine(_EngineObsMixin):
         def task(idx: int) -> None:
             try:
                 value = fn(items[idx])
+                if on_result is not None:
+                    on_result(idx, value)
+                    return
             except Exception as exc:
                 with lock:
                     failures[idx] = _format_error(exc)
@@ -392,20 +388,6 @@ class ThreadEngine(_EngineObsMixin):
             self._record_map(sp, "map", len(items), time.perf_counter() - t0, workers)
             sp.annotate(mode="tolerant", failed=len(failures))
         return results, failures
-
-    def map_into(self, fn: Callable, items: Sequence, out) -> None:
-        """Run ``fn(out, item)`` on the pool; threads share the array."""
-        fn = self._faulty_into(fn)
-        items = list(items)
-        if not items:
-            return
-        arr = _as_output_array(out)
-        with self._obs_tracer().span(
-            "engine_map", engine="ThreadEngine", policy=self.policy.name
-        ) as sp:
-            t0 = time.perf_counter()
-            workers = self._run_chunks(lambda idx: fn(arr, items[idx]), len(items))
-            self._record_map(sp, "map_into", len(items), time.perf_counter() - t0, workers)
 
     def __repr__(self) -> str:  # pragma: no cover - cosmetic
         return f"ThreadEngine(n_workers={self.n_workers}, policy={self.policy.name})"
@@ -709,41 +691,14 @@ class ProcessEngine(_EngineObsMixin):
         return f"ProcessEngine(n_workers={self.n_workers}, policy={self.policy.name})"
 
 
-def _shm_worker(token: int, task_q, done_q) -> None:
-    """Worker loop: pull task indices, write results into shared memory.
-
-    On clean shutdown the worker reports ``(tasks, busy_seconds)`` through
-    the done queue — the per-worker timing the parent aggregates into its
-    :class:`~repro.obs.metrics.MapStats`.
-    """
-    fn, items, handle = _FORK_TASKS[token]
-    view = SharedArray.attach(*handle)
-    tasks = 0
-    busy = 0.0
-    try:
-        while True:
-            idx = task_q.get()
-            if idx is None:
-                done_q.put(("ok", (os.getpid(), tasks, busy)))
-                return
-            t0 = time.perf_counter()
-            fn(view.array, items[idx])
-            busy += time.perf_counter() - t0
-            tasks += 1
-    except BaseException:
-        done_q.put(("error", traceback.format_exc()))
-    finally:
-        view.close()
-
-
 class SharedMemoryEngine(ProcessEngine):
     """Fork pool whose workers write outputs in place via shared memory.
 
-    ``map`` is inherited from :class:`ProcessEngine` (pickle-return, for
-    tasks that genuinely produce small values); ``map_into`` is the
-    zero-copy path.  Per call, the engine publishes ``(fn, items,
-    out-handle)`` in the fork registry, forks a pool of workers that
-    persists for the whole call, and feeds them task *indices* through a
+    ``map`` and ``map_supervised`` are inherited from
+    :class:`ProcessEngine` (pickle-return); :meth:`map_into_supervised`
+    is the zero-copy path.  Per call, the engine publishes ``(fn, items,
+    out-handle)`` in the fork registry, forks a supervised pool that
+    persists for the whole call, and feeds it task *indices* through a
     queue (dynamic self-scheduling, the policy that wins on the paper's
     imbalanced diagonal tiles).  Each worker attaches the output matrix
     with :meth:`repro.parallel.sharedmem.SharedArray.attach` and runs
@@ -754,105 +709,19 @@ class SharedMemoryEngine(ProcessEngine):
     closures over multi-GB weight tensors reach the workers without
     pickling — which is also why one pool cannot outlive its call: a
     worker forked earlier could never see a later task's memory.
-
-    Sinks: pass a plain ndarray (the engine stages it through a temporary
-    shared block and copies back once — one memcpy, still no per-item
-    pickling) or a :class:`SharedArray` you allocated up front for the
-    fully zero-copy path.
     """
-
-    def map_into(self, fn: Callable, items: Sequence, out) -> None:
-        fn = self._faulty_into(fn)
-        items = list(items)
-        if not items:
-            return
-        arr = _as_output_array(out)
-        with self._obs_tracer().span(
-            "engine_map", engine="SharedMemoryEngine", policy=self.policy.name
-        ) as sp:
-            t0 = time.perf_counter()
-            if self._inline():
-                busy = 0.0
-                for item in items:
-                    s = time.perf_counter()
-                    fn(arr, item)
-                    busy += time.perf_counter() - s
-                self._record_map(sp, "map_into", len(items), time.perf_counter() - t0,
-                                 [WorkerStats("w0", len(items), busy)])
-                return
-            if isinstance(out, SharedArray):
-                shared, staged = out, None
-            else:
-                staged = SharedArray.from_array(arr)
-                shared = staged
-            try:
-                raw = self._run_pool(fn, items, shared)
-                if staged is not None:
-                    arr[...] = staged.array
-            finally:
-                if staged is not None:
-                    staged.close()
-                    staged.unlink()
-            self._record_map(sp, "map_into", len(items), time.perf_counter() - t0,
-                             merge_worker_stats(raw))
-            # Results never cross the pipe; the only transport is the
-            # optional one-shot staging memcpy back into a plain ndarray.
-            sp.annotate(result_bytes=0,
-                        staged_bytes=int(arr.nbytes) if staged is not None else 0)
-
-    def _run_pool(self, fn: Callable, items: list, shared: SharedArray) -> dict:
-        ctx = multiprocessing.get_context("fork")
-        n_proc = min(self.n_workers, len(items))
-        task_q = ctx.Queue()
-        done_q = ctx.SimpleQueue()
-        token = _publish((fn, items, shared.handle()))
-        workers = []
-        raw: dict = {}
-        try:
-            # Publish-then-fork: children inherit fn/items by COW.
-            workers = [
-                ctx.Process(target=_shm_worker, args=(token, task_q, done_q))
-                for _ in range(n_proc)
-            ]
-            for w in workers:
-                w.start()
-            for idx in self._submission_order(len(items)):
-                task_q.put(idx)
-            for _ in workers:
-                task_q.put(None)
-            errors = []
-            for _ in workers:
-                status, detail = done_q.get()
-                if status == "error":
-                    errors.append(detail)
-                else:
-                    pid, tasks, busy = detail
-                    raw[pid] = (tasks, busy)
-            for w in workers:
-                w.join()
-            if errors:
-                raise RuntimeError(
-                    "shared-memory worker failed:\n" + "\n".join(errors)
-                )
-        finally:
-            del _FORK_TASKS[token]
-            for w in workers:
-                if w.is_alive():  # pragma: no cover - error-path cleanup
-                    w.terminate()
-                    w.join()
-            task_q.cancel_join_thread()
-            task_q.close()
-        return raw
 
     def map_into_supervised(self, fn: Callable, items: Sequence, out: SharedArray,
                             timeout: float | None = None) -> dict:
-        """Fault-isolating ``map_into``: returns ``{position: error}``.
+        """Call ``fn(out_view, item)`` once per item; ``{position: error}``.
 
-        Workers write their blocks straight into the shared array; a task
-        that raises fails only its slot, and a task past ``timeout`` has
-        its worker killed and replaced.  ``out`` must be a
-        :class:`SharedArray` (the resilient dispatch layer stages plain
-        ndarrays itself so retries and fallback survive restaging).
+        ``out_view`` aliases ``out``'s storage (in a worker: its
+        shared-memory attachment), and each item must write a region
+        disjoint from every other item's.  A task that raises fails only
+        its slot, and a task past ``timeout`` has its worker killed and
+        replaced.  ``out`` must be a :class:`SharedArray`: the tile
+        executor stages a plain ndarray once per run, so retries and
+        batches all write the same block.
         """
         self._engine_fault_check()
         items = list(items)

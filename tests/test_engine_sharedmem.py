@@ -122,97 +122,149 @@ class TestProcessEngine:
         assert ProcessEngine(n_workers=2).map(square, []) == []
 
 
+def _shared(shape, fill=0.0):
+    sa = SharedArray.create(shape, "float64")
+    sa.array[...] = fill
+    return sa
+
+
+@pytest.fixture
+def shared():
+    """Factory for SharedArray sinks, unlinked after the test."""
+    made = []
+
+    def make(shape, fill=0.0):
+        made.append(_shared(shape, fill))
+        return made[-1]
+
+    yield make
+    for sa in made:
+        sa.close()
+        sa.unlink()
+
+
 class TestSharedMemoryEngine:
-    def test_map_into_writes_in_place(self):
-        out = np.full(8, -1.0)
-        SharedMemoryEngine(n_workers=2).map_into(write_slot, list(range(8)), out)
-        assert np.array_equal(out, np.arange(8) * 10.0)
+    def test_map_into_writes_in_place(self, shared):
+        out = shared((8,), fill=-1.0)
+        failures = SharedMemoryEngine(n_workers=2).map_into_supervised(
+            write_slot, list(range(8)), out)
+        assert failures == {}
+        assert np.array_equal(out.array, np.arange(8) * 10.0)
 
-    def test_map_into_sharedarray_sink(self):
-        # Passing a SharedArray skips the staging copy entirely.
-        sa = SharedArray.create((6,), "float64")
+    def test_map_into_sharedarray_sink(self, shared):
+        # The SharedArray is the sink itself: no staging copy, and the
+        # parent sees the workers' writes through its own mapping.
+        out = shared((6,))
+        SharedMemoryEngine(n_workers=2).map_into_supervised(
+            write_slot, list(range(6)), out)
+        view = SharedArray.attach(*out.handle())
         try:
-            sa.array[:] = 0.0
-            SharedMemoryEngine(n_workers=2).map_into(write_slot, list(range(6)), sa)
-            assert np.array_equal(sa.array, np.arange(6) * 10.0)
+            assert np.array_equal(view.array, np.arange(6) * 10.0)
         finally:
-            sa.close()
-            sa.unlink()
+            view.close()
 
-    def test_map_into_closure_over_array(self):
+    def test_map_into_closure_over_array(self, shared):
         # Closures reach workers by fork/COW, never by pickling.
         big = np.arange(100, dtype=np.float64)
 
         def task(out, i):
             out[i] = big[i] + 0.5
 
-        out = np.zeros(10)
-        SharedMemoryEngine(n_workers=3).map_into(task, list(range(10)), out)
-        assert np.array_equal(out, np.arange(10) + 0.5)
+        out = shared((10,))
+        SharedMemoryEngine(n_workers=3).map_into_supervised(task, list(range(10)), out)
+        assert np.array_equal(out.array, np.arange(10) + 0.5)
 
-    def test_map_into_2d_blocks(self):
-        out = np.zeros((4, 4))
+    def test_map_into_2d_blocks(self, shared):
+        out = shared((4, 4))
 
         def block(o, r):
             o[r, :] = r + 1.0
 
-        SharedMemoryEngine(n_workers=2).map_into(block, list(range(4)), out)
-        assert np.array_equal(out, np.repeat(np.arange(1.0, 5.0)[:, None], 4, axis=1))
+        SharedMemoryEngine(n_workers=2).map_into_supervised(block, list(range(4)), out)
+        assert np.array_equal(out.array,
+                              np.repeat(np.arange(1.0, 5.0)[:, None], 4, axis=1))
 
-    def test_map_into_empty(self):
-        out = np.full(3, 7.0)
-        SharedMemoryEngine(n_workers=2).map_into(write_slot, [], out)
-        assert np.array_equal(out, np.full(3, 7.0))
+    def test_map_into_empty(self, shared):
+        out = shared((3,), fill=7.0)
+        assert SharedMemoryEngine(n_workers=2).map_into_supervised(
+            write_slot, [], out) == {}
+        assert np.array_equal(out.array, np.full(3, 7.0))
 
-    def test_map_into_single_worker_inline(self):
-        out = np.zeros(4)
-        SharedMemoryEngine(n_workers=1).map_into(write_slot, list(range(4)), out)
-        assert np.array_equal(out, np.arange(4) * 10.0)
+    def test_map_into_single_worker_inline(self, shared):
+        out = shared((4,))
+        SharedMemoryEngine(n_workers=1).map_into_supervised(
+            write_slot, list(range(4)), out)
+        assert np.array_equal(out.array, np.arange(4) * 10.0)
 
     def test_map_into_bad_sink_rejected(self):
-        with pytest.raises(TypeError):
-            SharedMemoryEngine(n_workers=2).map_into(write_slot, [0], [0.0, 0.0])
+        with pytest.raises(TypeError, match="SharedArray"):
+            SharedMemoryEngine(n_workers=2).map_into_supervised(
+                write_slot, [0], np.zeros(2))
 
-    def test_worker_error_propagates(self):
-        def boom(out, i):
-            raise ValueError("tile kernel failed")
+    def test_worker_error_propagates(self, shared):
+        # A failing task fails only its own slot; its error reaches the
+        # caller and the other tasks still write their blocks.
+        def task(out, i):
+            if i == 1:
+                raise ValueError("tile kernel failed")
+            write_slot(out, i)
 
-        with pytest.raises(RuntimeError, match="tile kernel failed"):
-            SharedMemoryEngine(n_workers=2).map_into(boom, [0, 1, 2], np.zeros(3))
+        out = shared((3,), fill=-1.0)
+        failures = SharedMemoryEngine(n_workers=2).map_into_supervised(
+            task, [0, 1, 2], out)
+        assert list(failures) == [1]
+        assert "ValueError: tile kernel failed" in failures[1]
+        assert np.array_equal(out.array, [0.0, -1.0, 20.0])
 
-    def test_registry_left_clean_after_error(self):
+    def test_registry_left_clean_after_error(self, shared):
         before = dict(_FORK_TASKS)
 
         def boom(out, i):
             raise ValueError("nope")
 
-        with pytest.raises(RuntimeError):
-            SharedMemoryEngine(n_workers=2).map_into(boom, [0, 1], np.zeros(2))
+        failures = SharedMemoryEngine(n_workers=2).map_into_supervised(
+            boom, [0, 1], shared((2,)))
+        assert sorted(failures) == [0, 1]
         assert _FORK_TASKS == before
 
     def test_plain_map_inherited(self):
         eng = SharedMemoryEngine(n_workers=2)
         assert eng.map(square, list(range(10))) == [i * i for i in range(10)]
 
-    def test_reusable_across_calls(self):
+    def test_reusable_across_calls(self, shared):
         eng = SharedMemoryEngine(n_workers=2)
-        a, b = np.zeros(5), np.zeros(5)
-        eng.map_into(write_slot, list(range(5)), a)
-        eng.map_into(lambda o, i: o.__setitem__(i, -float(i)), list(range(5)), b)
-        assert np.array_equal(a, np.arange(5) * 10.0)
-        assert np.array_equal(b, -np.arange(5, dtype=float))
+        a, b = shared((5,)), shared((5,))
+        eng.map_into_supervised(write_slot, list(range(5)), a)
+        eng.map_into_supervised(lambda o, i: o.__setitem__(i, -float(i)),
+                                list(range(5)), b)
+        assert np.array_equal(a.array, np.arange(5) * 10.0)
+        assert np.array_equal(b.array, -np.arange(5, dtype=float))
+
+
+class TestMapTolerantOnResult:
+    @pytest.mark.parametrize("engine", [SerialEngine(), ThreadEngine(n_workers=3)],
+                             ids=lambda e: type(e).__name__)
+    def test_on_result_receives_values_and_fails_its_task(self, engine):
+        seen = {}
+        lock = threading.Lock()
+
+        def on_result(pos, value):
+            if value == 9:
+                raise ValueError("rejected")
+            with lock:
+                seen[pos] = value
+
+        results, failures = engine.map_tolerant(square, list(range(6)),
+                                                on_result=on_result)
+        assert results == [None] * 6
+        assert seen == {i: i * i for i in range(6) if i != 3}
+        assert failures == {3: "ValueError: rejected"}
 
 
 class TestMapIntoInProcessEngines:
-    @pytest.mark.parametrize("engine", [SerialEngine(), ThreadEngine(n_workers=3)])
-    def test_map_into(self, engine):
-        out = np.zeros(12)
-        engine.map_into(write_slot, list(range(12)), out)
-        assert np.array_equal(out, np.arange(12) * 10.0)
-
     def test_process_engine_has_no_map_into(self):
         # ProcessEngine workers write COW copies that the parent never
-        # sees; drivers must fall back to its pickle-return map.
+        # sees; only the shared-memory engine writes in place.
         assert not hasattr(ProcessEngine(n_workers=1), "map_into")
 
 

@@ -8,7 +8,9 @@ schedule plumbing changes *real dispatch order*, observable through the
 tracer's counters and the engines' per-worker task counts.
 """
 
+import sys
 import threading
+import time
 
 import numpy as np
 import pytest
@@ -19,6 +21,7 @@ from repro.core.discretize import rank_transform
 from repro.core.exec import (
     SCHEDULE_NAMES,
     DenseSink,
+    MatrixSink,
     MmapSource,
     TensorSource,
     plan_tiles,
@@ -227,6 +230,40 @@ class TestDispatchOrder:
         mi_matrix(weights, tile=TILE, tracer=tracer, schedule="dynamic")
         deltas = [e.delta for e in tracer.counter_events if e.name == "pairs_done"]
         assert deltas == grid
+
+    def test_in_worker_delivery_loses_no_update(self):
+        # Thread workers write, count and report their own tiles; a sink
+        # without a buffer gets every block through put.  Many workers on
+        # tiny tiles with a short switch interval would expose a lost
+        # read-modify-write in the sink or the progress counter.
+        class CountingSink(MatrixSink):
+            def __init__(self):
+                self.puts = 0
+
+            def put(self, idx, t, block):
+                n = self.puts
+                time.sleep(0)
+                self.puts = n + 1
+
+            def finalize(self, completed=True):
+                return self.puts
+
+        n = 40
+        source = TensorSource(np.zeros((n, 4, 2)))
+        plan = plan_tiles(source, tile=1)
+        block = np.zeros((1, 1))
+        seen = []
+        interval = sys.getswitchinterval()
+        sys.setswitchinterval(1e-6)
+        try:
+            puts = run_tile_plan(plan, source, CountingSink(),
+                                 engine=ThreadEngine(n_workers=8),
+                                 kernel=lambda s, h, t, b: block,
+                                 progress=lambda done, total: seen.append(done))
+        finally:
+            sys.setswitchinterval(interval)
+        assert puts == plan.n_tiles == n * (n - 1) // 2
+        assert sorted(seen) == list(range(1, plan.n_tiles + 1))
 
     def test_static_policy_fixes_per_worker_task_counts(self):
         # Force all three pool threads to run concurrently (each chunk's

@@ -23,12 +23,12 @@ from repro.faults import (
     FaultPlan,
     FaultPolicy,
     FaultToleranceExceeded,
-    InjectedFault,
     plan_from_env,
     task_key,
 )
 from repro.obs import Tracer, fault_summary, load_events, write_jsonl
 from repro.parallel import ENGINE_KINDS, make_engine
+from repro.parallel.engine import EngineFailure
 
 N_GENES = 14
 TILE = 5  # 3x3 upper-tri block grid -> 6 tiles
@@ -194,9 +194,11 @@ class TestChaosMatrix:
         assert tracer.counters.get(counter, 0) >= 1
 
     def test_no_policy_crash_propagates(self, weights):
+        # The default policy aborts on the first failed tile, and the
+        # abort names the original exception.
         plan = _chaos_plan("crash", fork=False)
         eng = _engine("thread", faults=plan)
-        with pytest.raises(InjectedFault):
+        with pytest.raises(FaultToleranceExceeded, match="InjectedFault"):
             mi_matrix(weights, tile=TILE, engine=eng)
 
     def test_no_faults_with_policy_is_identical(self, weights, baseline):
@@ -283,9 +285,20 @@ class TestEngineFallback:
         assert tracer.counters["engine_fallbacks"] == 2  # sharedmem->process->thread
 
     def test_fallback_does_not_trigger_without_policy(self, weights, baseline):
-        # Legacy dispatch (policy=None) never consults the fallback chain.
-        res = mi_matrix(weights, tile=TILE, engine=_engine("thread"))
+        # A default run (policy=None) on a healthy engine never falls back.
+        tracer = Tracer()
+        res = mi_matrix(weights, tile=TILE, engine=_engine("thread"),
+                        tracer=tracer)
         assert np.array_equal(res.mi, baseline)
+        assert tracer.counters.get("engine_fallbacks", 0) == 0
+
+    @pytest.mark.parametrize("policy", [None, FaultPolicy(max_retries=2, on_fault="raise")],
+                             ids=["default", "retry-budget"])
+    def test_raise_mode_does_not_fall_back(self, weights, policy):
+        # Only the non-raise modes enable engine fallback.
+        eng = _engine("thread", faults=FaultPlan(seed=0, rate=0.0, engine_failures=1))
+        with pytest.raises(EngineFailure, match="injected engine failure"):
+            mi_matrix(weights, tile=TILE, engine=eng, policy=policy)
 
     def test_make_engine_fallback_flag(self, monkeypatch):
         import repro.parallel.engine as engine_mod
@@ -488,7 +501,7 @@ class TestDriverPaths:
             TingeConfig(task_timeout=0.0)
         with pytest.raises(ValueError, match="on_fault"):
             TingeConfig(on_fault="panic")
-        assert TingeConfig().fault_policy() is None
+        assert TingeConfig().fault_policy() == FaultPolicy(max_retries=0, on_fault="raise")
         p = TingeConfig(max_retries=2, on_fault="quarantine").fault_policy()
         assert p.max_retries == 2 and p.on_fault == "quarantine"
 

@@ -4,9 +4,11 @@ import numpy as np
 import pytest
 
 from repro.core.bspline import weight_tensor
+from repro.core.exec import DenseSink, TensorSource, default_kernel, plan_tiles, run_tile_plan
 from repro.core.mi import mi_bspline_pair
 from repro.core.mi_matrix import compute_tile, mi_matrix, mi_pairs
 from repro.core.tiling import Tile
+from repro.faults.policy import FaultPolicy
 from repro.parallel.engine import SerialEngine, ThreadEngine
 
 
@@ -127,6 +129,29 @@ class TestProgressCallback:
                       progress=lambda d, t: calls.append((d, t)))
             assert calls[-1] == (6, 6)
             assert sorted(d for d, _ in calls) == list(range(1, 7))
+
+    @pytest.mark.parametrize("policy", [None, FaultPolicy(max_retries=2)],
+                             ids=["default", "retry"])
+    def test_in_process_progress_is_live(self, weights12, policy):
+        # The first tick must land while tiles are still to run, not after
+        # the whole grid has returned.
+        kernel_calls = []
+        first_tick = []
+
+        def counting_kernel(source, h, t, base):
+            kernel_calls.append(t)
+            return default_kernel(source, h, t, base)
+
+        def progress(done, total):
+            if not first_tick:
+                first_tick.append(len(kernel_calls))
+
+        source = TensorSource(weights12)
+        plan = plan_tiles(source, tile=4)
+        run_tile_plan(plan, source, DenseSink(12), engine=ThreadEngine(n_workers=1),
+                      progress=progress, kernel=counting_kernel, policy=policy)
+        assert len(kernel_calls) == plan.n_tiles == 6
+        assert first_tick and first_tick[0] < plan.n_tiles
 
     def test_fork_engine_progress_called_per_batch(self, weights12):
         from repro.parallel.engine import ProcessEngine

@@ -26,6 +26,7 @@ from repro.parallel.engine import (
     SharedMemoryEngine,
     ThreadEngine,
 )
+from repro.parallel.sharedmem import SharedArray
 
 
 @pytest.fixture(scope="module")
@@ -62,16 +63,26 @@ class TestEngineWorkerMetrics:
 
     @pytest.mark.parametrize(
         "engine",
-        [e for e in _engines() if hasattr(e, "map_into")],
+        [e for e in _engines() if hasattr(e, "map_into_supervised")],
         ids=lambda e: type(e).__name__,
     )
     def test_map_into_stats(self, engine):
-        out = np.zeros(5, dtype=np.float64)
-        engine.tracer = Tracer()
-        engine.map_into(lambda arr, i: arr.__setitem__(i, float(i)), range(5), out)
-        assert np.array_equal(out, np.arange(5.0))
+        tracer = Tracer()
+        engine.tracer = tracer
+        out = SharedArray.create((5,), "float64")
+        try:
+            out.array[:] = 0.0
+            engine.map_into_supervised(
+                lambda arr, i: arr.__setitem__(i, float(i)), range(5), out)
+            assert np.array_equal(out.array, np.arange(5.0))
+        finally:
+            out.close()
+            out.unlink()
         assert engine.last_map_stats.n_tasks == 5
         assert sum(engine.last_map_stats.task_counts().values()) == 5
+        (span,) = tracer.find_spans("engine_map")
+        assert span.metadata["kind"] == "map_into"
+        assert span.metadata["result_bytes"] == 0
 
     def test_process_engine_counts_transported_bytes(self):
         engine = ProcessEngine(n_workers=2)
