@@ -11,7 +11,9 @@ from __future__ import annotations
 
 import cProfile
 import io
+import os
 import pstats
+import sys
 from dataclasses import dataclass
 
 __all__ = ["ProfileReport", "profile_callable", "profile_pipeline"]
@@ -28,7 +30,9 @@ class ProfileReport:
     total_seconds:
         Wall time under the profiler (includes profiling overhead).
     hotspots:
-        ``(function, cumulative_seconds)`` pairs, heaviest first.
+        ``(function, cumulative_seconds)`` pairs, heaviest first.  Functions
+        are named by their module's path from its import root, e.g.
+        ``repro/core/mi.py:736(mi_tile_sparse_packed)``.
     text:
         Full ``pstats`` table (cumulative order) for printing.
     """
@@ -57,10 +61,12 @@ def profile_callable(fn, *args, top: int = 15, **kwargs) -> ProfileReport:
     stats = pstats.Stats(profiler, stream=stream).sort_stats("cumulative")
     stats.print_stats(top)
     total = stats.total_tt
+    roots = sorted({os.path.abspath(p or os.curdir) for p in sys.path},
+                   key=len, reverse=True)
     hotspots = []
     for (filename, lineno, name), row in stats.stats.items():  # type: ignore[attr-defined]
         cumulative = row[3]
-        hotspots.append((f"{filename.rsplit('/', 1)[-1]}:{lineno}({name})", cumulative))
+        hotspots.append((f"{_import_path(filename, roots)}:{lineno}({name})", cumulative))
     hotspots.sort(key=lambda kv: kv[1], reverse=True)
     return ProfileReport(
         result=result,
@@ -68,6 +74,15 @@ def profile_callable(fn, *args, top: int = 15, **kwargs) -> ProfileReport:
         hotspots=hotspots[:top],
         text=stream.getvalue(),
     )
+
+
+def _import_path(filename: str, roots: list) -> str:
+    """``filename`` relative to the longest import root holding it
+    (``repro/core/mi.py``); the basename when no root does."""
+    for root in roots:
+        if filename.startswith(root + os.sep):
+            return filename[len(root) + 1:].replace(os.sep, "/")
+    return os.path.basename(filename)
 
 
 def profile_pipeline(data, genes=None, config=None, top: int = 10) -> ProfileReport:

@@ -19,9 +19,10 @@ formula:
    assembles the edge list.
 
 ``distributed_reconstruct`` returns the same :class:`GeneNetwork` the
-serial pipeline produces (bit-identical MI matrix; the null differs only
-in that it is built from rank-partitioned pair samples, so tests pin the
-seed and compare thresholds for equality under the same sampling).
+serial pipeline produces: a bit-identical MI matrix, and a null whose
+values are bitwise the serial pool's (each rank evaluates its share of the
+sampled pairs with :func:`repro.core.permutation.pair_nulls`), so under
+the same seed the thresholds are equal.
 """
 
 from __future__ import annotations
@@ -34,8 +35,8 @@ from repro.cluster.comm import LockstepComm
 from repro.core.bspline import weight_tensor
 from repro.core.discretize import rank_transform
 from repro.core.exec import MatrixSink, TensorSource, plan_tiles, run_tile_plan
-from repro.core.mi import mi_from_joint
 from repro.core.network import GeneNetwork
+from repro.core.permutation import pair_nulls
 from repro.core.threshold import threshold_adjacency
 from repro.core.tiling import Tile, pair_count
 from repro.parallel.partition import block_partition
@@ -269,18 +270,13 @@ def distributed_reconstruct(
     # Pairs are re-partitioned over the *survivors* in rank order, so the
     # concatenated null sequence — contiguous pair blocks, ascending rank —
     # is identical with or without rank loss, and so is the threshold.
+    # Each survivor runs the pooled null's own pair kernel on its block, so
+    # every null value is bitwise the serial pool's.
     pair_blocks = block_partition(n_pairs, len(survivors))
     null_parts: list = [None] * n_ranks
     for k, r in enumerate(survivors):
-        w = weights_full[r]
-        vals = []
-        for p_idx in pair_blocks[k]:
-            i, j = pairs[p_idx]
-            wi, wj = w[i], w[j]
-            for q in range(n_permutations):
-                joint = (wi[perms[q]].T.astype(np.float64) @ wj.astype(np.float64)) / m
-                vals.append(mi_from_joint(joint))
-        null_parts[r] = np.asarray(vals, dtype=np.float64)
+        mis, _route = pair_nulls(weights_full[r], pairs[pair_blocks[k]], perms)
+        null_parts[r] = mis.ravel()
     # Allgather (small) null shares; every rank derives the same threshold.
     null_all = comm.allgather(null_parts)
     null = np.concatenate([p for p in null_all[0] if p is not None])
@@ -366,13 +362,8 @@ def _elastic_reconstruct(
     n_pairs = min(n_null_pairs, pair_count(n))
     pairs = sample_pairs(n, n_pairs, rng)
     perms = permutation_matrix(n_permutations, m, rng)
-    vals = []
-    for i, j in pairs:
-        wi, wj = weights[i], weights[j]
-        for q in range(n_permutations):
-            joint = (wi[perms[q]].T.astype(np.float64) @ wj.astype(np.float64)) / m
-            vals.append(mi_from_joint(joint))
-    null = np.asarray(vals, dtype=np.float64)
+    mis, _route = pair_nulls(weights, pairs, perms)
+    null = mis.ravel()
     threshold = upper_tail_threshold(null, alpha, n_tests=pair_count(n))
 
     adjacency = threshold_adjacency(mi, threshold)

@@ -780,11 +780,10 @@ def mi_tile_sparse_packed(
 def batched_pair_mi(joint: np.ndarray, base: str = "nat") -> np.ndarray:
     """MI of a ``(P, b, b)`` stack of per-pair joint probability matrices.
 
-    The validation-free batched reduction shared by the permutation-null
-    builders: marginals from the joint's row/column sums, plug-in entropies,
-    clamp at zero.  Op-for-op identical to the reduction it replaces in
-    ``pooled_null``/``per_pair_pvalues``, so existing reference-loop tests
-    still pass bitwise.
+    The validation-free batched reduction of ``per_pair_pvalues``:
+    marginals from the joint's row/column sums, plug-in entropies, clamp at
+    zero.  Op-for-op identical to :func:`mi_from_joint` on each slice, so
+    the per-permutation reference loop of the tests matches it bitwise.
     """
     joint = np.asarray(joint, dtype=np.float64)
     if joint.ndim != 3:

@@ -299,16 +299,12 @@ class TingePipeline:
             source = TensorSource(weights)
             if cfg.testing == "exact":
                 return self._run_exact(source, genes, n)
-            null = self._timed(
-                "null",
-                pooled_null,
-                weights,
-                cfg.n_permutations,
-                min(cfg.n_null_pairs, pair_count(n)),
-                cfg.seed,
-                cfg.base,
-                self.engine,
-            )
+            with self.tracer.span("null") as sp:
+                null = pooled_null(weights, cfg.n_permutations,
+                                   min(cfg.n_null_pairs, pair_count(n)),
+                                   cfg.seed, cfg.base, self.engine)
+                sp.annotate(route=null.route)
+            self.timings["null"] = sp.wall
             result = self._timed(
                 "mi", mi_matrix, source, cfg.tile, cfg.base, self.engine,
                 self.progress, None, self.tracer, cfg.schedule,

@@ -221,10 +221,11 @@ def _execute(job: Job, cache: ResultCache, state_dir: Path) -> None:
                                  fallback=cfg.on_fault != "raise")
 
         job.phase = "null"
-        with tracer.span("null"):
+        with tracer.span("null") as sp:
             null = pooled_null(weights, cfg.n_permutations,
                                min(cfg.n_null_pairs, pair_count(n)),
                                cfg.seed, cfg.base, engine)
+            sp.annotate(route=null.route)
 
         job.phase = "mi"
         kernel, tile_override = resolve_kernel(
@@ -326,18 +327,20 @@ def _bootstrap_updater(job, ds, cache, state_dir: Path, engine):
     if hit is not None:
         job.cached = True
         job.phase = "null"
-        with tracer.span("null"):
+        with tracer.span("null") as sp:
             null = pooled_null(weights, cfg.n_permutations,
                                min(cfg.n_null_pairs, pair_count(n)),
                                cfg.seed, cfg.base, engine)
+            sp.annotate(route=null.route)
         updater = NetworkUpdater(weights, hit.network.weights, list(ds.genes),
                                  null, data=data, config=cfg)
     else:
         job.phase = "null"
-        with tracer.span("null"):
+        with tracer.span("null") as sp:
             null = pooled_null(weights, cfg.n_permutations,
                                min(cfg.n_null_pairs, pair_count(n)),
                                cfg.seed, cfg.base, engine)
+            sp.annotate(route=null.route)
         job.phase = "mi"
         kernel, tile_override = resolve_kernel(
             source, cfg.kernel, kernel_dtype=cfg.kernel_dtype,

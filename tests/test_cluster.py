@@ -227,7 +227,7 @@ class TestDistributedReconstruct:
             n_permutations=15, n_null_pairs=50, alpha=0.01, seed=7,
         )
         assert np.allclose(dist.mi, serial.mi)
-        assert dist.threshold == pytest.approx(serial.network.threshold, rel=1e-9)
+        assert dist.threshold == serial.network.threshold
         assert np.array_equal(dist.network.adjacency, serial.network.adjacency)
 
     def test_rank_count_invariance(self, dataset):
@@ -239,7 +239,7 @@ class TestDistributedReconstruct:
         ref = results[0]
         for r in results[1:]:
             assert np.allclose(r.mi, ref.mi)
-            assert r.threshold == pytest.approx(ref.threshold, rel=1e-9)
+            assert r.threshold == ref.threshold
 
     def test_tiles_balanced_cyclically(self, dataset):
         dist = distributed_reconstruct(dataset.expression, dataset.genes,

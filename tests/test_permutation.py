@@ -5,14 +5,18 @@ import pytest
 
 from repro.core.bspline import weight_tensor
 from repro.core.discretize import rank_transform
-from repro.core.mi import mi_bspline_pair
+from repro.core.entropy import marginal_entropies
+from repro.core.mi import batched_pair_mi, mi_bspline_pair, mi_tile, mi_tile_sparse
 from repro.core.mi_matrix import mi_matrix
 from repro.core.permutation import (
     NullDistribution,
+    pair_nulls,
     per_pair_pvalues,
     permuted_weights,
     pooled_null,
 )
+from repro.core.sparsekernel import _reset_backend_cache, pack_slab, sparse_backend
+from repro.stats.random import as_rng, permutation_matrix, sample_pairs
 
 
 @pytest.fixture(scope="module")
@@ -150,15 +154,154 @@ class TestPerPairPvalues:
 
 class TestPooledNullEngineDispatch:
     def test_engine_paths_bit_identical(self, ranked_weights):
-        from repro.parallel.engine import ProcessEngine, SerialEngine, ThreadEngine
+        from repro.cluster.elastic import ElasticEngine
+        from repro.parallel.engine import (
+            ProcessEngine,
+            SerialEngine,
+            SharedMemoryEngine,
+            ThreadEngine,
+        )
 
         serial = pooled_null(ranked_weights, 8, 40, seed=13)
-        for engine in (SerialEngine(), ThreadEngine(n_workers=3),
-                       ProcessEngine(n_workers=3)):
-            parallel = pooled_null(ranked_weights, 8, 40, seed=13, engine=engine)
-            assert np.array_equal(serial.mis, parallel.mis), type(engine).__name__
-            assert parallel.n_permutations == 8
-            assert parallel.n_pairs_sampled == 40
+        elastic = ElasticEngine(n_workers=2)
+        try:
+            for engine in (SerialEngine(), ThreadEngine(n_workers=3),
+                           ProcessEngine(n_workers=3),
+                           SharedMemoryEngine(n_workers=3), elastic):
+                parallel = pooled_null(ranked_weights, 8, 40, seed=13, engine=engine)
+                assert np.array_equal(serial.mis, parallel.mis), type(engine).__name__
+                assert parallel.n_permutations == 8
+                assert parallel.n_pairs_sampled == 40
+        finally:
+            elastic.close()
+
+
+def _einsum_null(weights, pairs, perms):
+    """The pooled null as it was computed before the sparse kernel: per
+    permutation, one stacked dense contraction over all sampled pairs and
+    the joint-marginal MI reduction.  Kept as the accuracy reference."""
+    m = weights.shape[1]
+    wi = weights[pairs[:, 0]]
+    wj = weights[pairs[:, 1]]
+    rows = []
+    for perm in perms:
+        joint = np.einsum("pmb,pmc->pbc", wi[:, perm], wj, optimize=True) / m
+        rows.append(batched_pair_mi(joint))
+    return np.stack(rows).ravel()
+
+
+class TestPooledNullKernel:
+    """The null is the MI kernel itself, evaluated on permuted pairs."""
+
+    N_GENES, M, Q = 10, 120, 6
+    N_PAIRS = N_GENES * (N_GENES - 1) // 2  # every pair is sampled
+
+    @pytest.fixture(scope="class")
+    def data(self):
+        # Gene 0 is binary and gene 1 constant: their packed rows span one
+        # bin (the binary gene's at the last bin) against three for the
+        # rest, the mixed-span class the sparse packing must clamp.
+        rng = np.random.default_rng(3)
+        return rank_transform(np.vstack([
+            (rng.random(self.M) < 0.5).astype(float),
+            np.full(self.M, 2.0),
+            rng.normal(size=(self.N_GENES - 2, self.M)),
+        ]))
+
+    @pytest.fixture(scope="class")
+    def weights(self, data):
+        return weight_tensor(data)
+
+    @pytest.fixture(autouse=True)
+    def _restore_backend(self):
+        yield
+        _reset_backend_cache()
+
+    def _stream(self, seed):
+        rng = as_rng(seed)
+        pairs = sample_pairs(self.N_GENES, self.N_PAIRS, rng)
+        perms = permutation_matrix(self.Q, self.M, rng)
+        return pairs, perms
+
+    def test_sample_is_mixed_span(self, weights):
+        spans = {pack_slab(weights[g:g + 1])[2] for g in range(self.N_GENES)}
+        assert spans == {1, 3}
+
+    def test_bitwise_sparse_kernel_on_permuted_pair(self, weights):
+        null = pooled_null(weights, self.Q, self.N_PAIRS, seed=4)
+        pairs, perms = self._stream(4)
+        h = marginal_entropies(weights)
+        mis = null.mis.reshape(self.Q, self.N_PAIRS)
+        for p, (x, y) in enumerate(pairs):
+            ref = mi_tile_sparse(weights[y][None], weights[x][perms],
+                                 h_i=h[y:y + 1], h_j=np.full(self.Q, h[x]))
+            assert np.array_equal(mis[:, p], ref[0]), (x, y)
+        assert null.route == f"sparse:{sparse_backend()}"
+
+    def test_within_1e13_of_dense_contraction(self, weights):
+        null = pooled_null(weights, self.Q, self.N_PAIRS, seed=4)
+        pairs, perms = self._stream(4)
+        np.testing.assert_allclose(null.mis, _einsum_null(weights, pairs, perms),
+                                   rtol=0, atol=1e-13)
+
+    @pytest.mark.parametrize("backend", ["numpy", "numba"])
+    def test_backends_bit_identical(self, weights, monkeypatch, backend):
+        import repro.core.sparsekernel as sk
+
+        if backend == "numba" and sk._numba_tile_fn() is None:
+            pytest.skip("numba not installed")
+        native = pooled_null(weights, self.Q, self.N_PAIRS, seed=4)
+        monkeypatch.setenv("REPRO_SPARSE_BACKEND", backend)
+        _reset_backend_cache()
+        forced = pooled_null(weights, self.Q, self.N_PAIRS, seed=4)
+        assert forced.route == f"sparse:{backend}"
+        assert np.array_equal(native.mis, forced.mis)
+
+    def test_order_above_packing_runs_dense_kernel(self, data):
+        weights = weight_tensor(data, bins=10, order=5)
+        null = pooled_null(weights, self.Q, self.N_PAIRS, seed=4)
+        assert null.route == "dense"
+        pairs, perms = self._stream(4)
+        h = marginal_entropies(weights)
+        mis = null.mis.reshape(self.Q, self.N_PAIRS)
+        for p, (x, y) in enumerate(pairs):
+            ref = mi_tile(weights[y][None], weights[x][perms],
+                          h_i=h[y:y + 1], h_j=np.full(self.Q, h[x]))
+            assert np.array_equal(mis[:, p], ref[0]), (x, y)
+        np.testing.assert_allclose(null.mis, _einsum_null(weights, pairs, perms),
+                                   rtol=0, atol=1e-13)
+
+    def test_float32_tensor(self, data, weights):
+        w32 = weight_tensor(data, dtype=np.float32)
+        null = pooled_null(w32, self.Q, self.N_PAIRS, seed=4)
+        pairs, perms = self._stream(4)
+        h = marginal_entropies(w32)
+        mis = null.mis.reshape(self.Q, self.N_PAIRS)
+        for p, (x, y) in enumerate(pairs):
+            ref = mi_tile_sparse(w32[y][None], w32[x][perms], h_i=h[y:y + 1],
+                                 h_j=np.full(self.Q, h[x]), dtype="float64")
+            assert np.array_equal(mis[:, p], ref[0]), (x, y)
+        ref64 = pooled_null(weights, self.Q, self.N_PAIRS, seed=4)
+        np.testing.assert_allclose(null.mis, ref64.mis, rtol=0, atol=1e-6)
+
+    def test_pair_nulls_rejects_bad_permutations(self, weights):
+        pairs = np.array([[0, 2], [3, 4]])
+        perms = np.tile(np.arange(self.M), (3, 1))
+        with pytest.raises(ValueError, match="array"):
+            pair_nulls(weights, pairs, perms[:, 1:])
+        perms[1, 5] = self.M
+        with pytest.raises(ValueError, match="outside"):
+            pair_nulls(weights, pairs, perms)
+
+    def test_pipeline_records_route_on_null_span(self, data):
+        from repro.core.pipeline import TingeConfig, TingePipeline
+        from repro.obs.tracer import Tracer
+
+        tracer = Tracer()
+        res = TingePipeline(TingeConfig(n_permutations=self.Q, n_null_pairs=20),
+                            tracer=tracer).run(data)
+        (span,) = tracer.find_spans("null")
+        assert span.metadata["route"] == res.null.route == f"sparse:{sparse_backend()}"
 
 
 class TestPerPairVectorization:
